@@ -1,9 +1,11 @@
 """Saliency detection engine: an encoder-decoder baseline network plus a
-recurrent attentional refinement stage, with training, metrics, and a CLI.
+recurrent attentional refinement stage, on a self-contained numpy
+autodiff tape.
 
-Submodules are imported explicitly (``racdnn.tensor``, ``racdnn.nn``, ...)
-so the command-line entry point can pin threading-related environment
-variables before numpy loads.
+Submodules are imported explicitly: ``racdnn.tensor`` (the tape),
+``racdnn.nn`` (layers and losses), ``racdnn.attention`` (spatial
+transformer windows) and ``racdnn.networks`` (the two networks and their
+presets).
 """
 
 __version__ = "0.1.0"

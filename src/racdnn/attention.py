@@ -1,5 +1,11 @@
-"""Differentiable spatial attention: isotropic scale + translation
-transforms, normalized sampling grids, and bilinear sampling.
+"""Differentiable spatial attention: isotropic scale + translation windows,
+normalized sampling grids, and bilinear sampling.
+
+A window is one ``(a_s, a_tx, a_ty)`` row per image, held in a ``[B,3]``
+tensor. :func:`affine_grid` is the only way a window becomes a sampling
+grid: it maps the regular output lattice through ``x -> a_s * x + a_t``,
+or through the inverse map ``x -> (x - a_t) / a_s`` to write a patch
+back. :func:`inverse_support` builds its mask from the same grid.
 
 Coordinate convention: normalized coordinates span [-1, 1] with (-1, -1)
 at the *center* of the top-left source pixel and (+1, +1) at the center of
@@ -10,7 +16,6 @@ inverse transformer write a patch onto an otherwise untouched canvas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -26,36 +31,6 @@ SCALE_MAX = 1.0
 _SNAP_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class AffineAttention:
-    """Scale and translation of an attended window, in normalized units."""
-
-    a_s: float
-    a_tx: float = 0.0
-    a_ty: float = 0.0
-
-    def validate_scale(self):
-        if not self.a_s > 0.0:
-            raise ScaleError(f"attention scale must be positive, got {self.a_s}")
-
-    def window_inside_image(self) -> bool:
-        return (abs(self.a_tx) + self.a_s <= 1.0 + 1e-12
-                and abs(self.a_ty) + self.a_s <= 1.0 + 1e-12)
-
-
-def make_transform(p: AffineAttention) -> np.ndarray:
-    """2x3 matrix mapping output coordinates to source coordinates."""
-    p.validate_scale()
-    return np.array([[p.a_s, 0.0, p.a_tx], [0.0, p.a_s, p.a_ty]])
-
-
-def invert_transform(p: AffineAttention) -> np.ndarray:
-    """2x3 matrix of the inverse map, used to write a patch back."""
-    p.validate_scale()
-    inv_s = 1.0 / p.a_s
-    return np.array([[inv_s, 0.0, -p.a_tx * inv_s], [0.0, inv_s, -p.a_ty * inv_s]])
-
-
 def base_coords(n: int) -> np.ndarray:
     """Normalized pixel-center coordinates of an n-long axis."""
     if n == 1:
@@ -63,17 +38,27 @@ def base_coords(n: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, n)
 
 
-def generate_grid(transform: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Apply a 2x3 transform to the regular output lattice -> [H, W, 2]."""
-    transform = np.asarray(transform, dtype=np.float64)
-    if transform.shape != (2, 3):
-        raise ShapeError(f"transform must be 2x3, got {transform.shape}")
-    if out_h < 1 or out_w < 1:
-        raise ShapeError("grid size must be >= 1 in both dimensions")
-    cx = base_coords(out_w)[None, :]
-    cy = base_coords(out_h)[:, None]
-    gx = transform[0, 0] * cx + transform[0, 1] * cy + transform[0, 2]
-    gy = transform[1, 0] * cx + transform[1, 1] * cy + transform[1, 2]
+def _check_rows(x: Tensor, what: str) -> np.ndarray:
+    if x.ndim != 2 or x.shape[1] != 3:
+        raise ShapeError(f"{what} must be [B,3], got {x.shape}")
+    return x.data
+
+
+def _window_grid(pd: np.ndarray, out_h: int, out_w: int, inverse: bool) -> np.ndarray:
+    """[B, out_h, out_w, 2] grid of the windows in rows `pd` [B,3]."""
+    if not np.all(pd[:, 0] > 0.0):
+        raise ScaleError("attention scale must be positive")
+    a_s = pd[:, 0][:, None, None]
+    a_tx = pd[:, 1][:, None, None]
+    a_ty = pd[:, 2][:, None, None]
+    cx = base_coords(out_w)[None, None, :]
+    cy = base_coords(out_h)[None, :, None]
+    if inverse:
+        gx = (cx - a_tx) / a_s
+        gy = (cy - a_ty) / a_s
+    else:
+        gx = a_s * cx + a_tx
+        gy = a_s * cy + a_ty
     return np.stack(np.broadcast_arrays(gx, gy), axis=-1)
 
 
@@ -88,36 +73,22 @@ def _pixel_coords(grid: np.ndarray, src_h: int, src_w: int):
     return px, py
 
 
-def sample_support(grid: np.ndarray, src_h: int, src_w: int) -> np.ndarray:
-    """Boolean mask of grid points whose bilinear sample can be nonzero."""
-    px, py = _pixel_coords(np.asarray(grid, dtype=np.float64), src_h, src_w)
-    return (px > -1.0) & (px < src_w) & (py > -1.0) & (py < src_h)
-
-
 def bilinear_sample(source: Tensor, grid: Union[Tensor, np.ndarray]) -> Tensor:
-    """Sample `source` [C,H,W] or [B,C,H,W] at `grid` [.., H', W', 2].
+    """Sample `source` [B,C,H,W] at `grid` [B,H',W',2].
 
     Each output value interpolates the four nearest source pixels;
     out-of-bounds neighbours contribute zero. Differentiable in the source
     values and (when the grid is a tracked tensor) in the grid coordinates.
     """
     grid_t = grid if isinstance(grid, Tensor) else Tensor(grid)
-    src_data, squeezed = (source.data[None], True) if source.ndim == 3 else (source.data, False)
-    if src_data.ndim != 4:
-        raise ShapeError(f"source must be [C,H,W] or [B,C,H,W], got {source.shape}")
-    b, c, h, w = src_data.shape
+    if source.ndim != 4:
+        raise ShapeError(f"source must be [B,C,H,W], got {source.shape}")
+    b, c, h, w = source.shape
     gd = grid_t.data
-    if gd.ndim == 3:
-        shared_grid = True
-        gd = np.broadcast_to(gd, (b,) + gd.shape)
-    elif gd.ndim == 4:
-        shared_grid = False
-        if gd.shape[0] != b:
-            raise ShapeError(f"grid batch {gd.shape[0]} != source batch {b}")
-    else:
-        raise ShapeError(f"grid must be [H',W',2] or [B,H',W',2], got {grid_t.shape}")
-    if gd.shape[-1] != 2:
-        raise ShapeError("grid entries must be (x, y) pairs")
+    if gd.ndim != 4 or gd.shape[-1] != 2:
+        raise ShapeError(f"grid must be [B,H',W',2], got {grid_t.shape}")
+    if gd.shape[0] != b:
+        raise ShapeError(f"grid batch {gd.shape[0]} != source batch {b}")
     ho, wo = gd.shape[1], gd.shape[2]
     n_out = ho * wo
 
@@ -129,7 +100,7 @@ def bilinear_sample(source: Tensor, grid: Union[Tensor, np.ndarray]) -> Tensor:
     fx = px - x0
     fy = py - y0
 
-    src_flat = src_data.reshape(b, c, h * w)
+    src_flat = source.data.reshape(b, c, h * w)
 
     def corner(xi, yi):
         valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
@@ -151,7 +122,7 @@ def bilinear_sample(source: Tensor, grid: Union[Tensor, np.ndarray]) -> Tensor:
     out = (w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11).reshape(b, c, ho, wo)
 
     def bwd(og):
-        og4 = (og[None] if squeezed else og).reshape(b, c, n_out)
+        og4 = og.reshape(b, c, n_out)
         d_src = np.zeros_like(src_flat)
         bb = np.arange(b)[:, None, None]
         cc = np.arange(c)[None, :, None]
@@ -166,119 +137,73 @@ def bilinear_sample(source: Tensor, grid: Union[Tensor, np.ndarray]) -> Tensor:
         d_gx = (og4 * dpx).sum(axis=1) * (0.5 * (w - 1))
         d_gy = (og4 * dpy).sum(axis=1) * (0.5 * (h - 1))
         d_grid = np.stack([d_gx.reshape(b, ho, wo), d_gy.reshape(b, ho, wo)], axis=-1)
-        if shared_grid:
-            d_grid = d_grid.sum(axis=0)
-        return (d_src[0] if squeezed else d_src), d_grid
+        return d_src, d_grid
 
-    if squeezed:
-        out = out[0]
     return record(out, [source, grid_t], bwd)
 
 
 def affine_grid(params: Tensor, out_h: int, out_w: int, inverse: bool = False) -> Tensor:
-    """Sampling grid from attention parameter rows [B, 3] ((a_s, a_tx, a_ty)
-    per row), differentiable in the parameters. `inverse` builds the grid
-    of the inverted transform without materializing a matrix."""
-    squeezed = params.ndim == 1
-    pd = params.data[None] if squeezed else params.data
-    if pd.ndim != 2 or pd.shape[1] != 3:
-        raise ShapeError(f"attention params must be [B,3] or [3], got {params.shape}")
-    if np.any(pd[:, 0] <= 0.0):
-        raise ScaleError("attention scale must be positive")
-    b = pd.shape[0]
+    """Sampling grid [B, out_h, out_w, 2] from attention parameter rows
+    [B, 3] ((a_s, a_tx, a_ty) per row), differentiable in the parameters.
+    `inverse` builds the grid of the inverted transform."""
+    pd = _check_rows(params, "attention params")
+    out = _window_grid(pd, out_h, out_w, inverse)
     a_s = pd[:, 0][:, None, None]
-    a_tx = pd[:, 1][:, None, None]
-    a_ty = pd[:, 2][:, None, None]
-    cx = base_coords(out_w)[None, None, :]
-    cy = base_coords(out_h)[None, :, None]
-    if inverse:
-        gx = (cx - a_tx) / a_s
-        gy = (cy - a_ty) / a_s
-    else:
-        gx = a_s * cx + a_tx
-        gy = a_s * cy + a_ty
-    gx, gy = np.broadcast_arrays(gx, gy)
-    out = np.stack([gx, gy], axis=-1)
 
     def bwd(og):
-        og = og[None] if squeezed else og
         ogx, ogy = og[..., 0], og[..., 1]
         if inverse:
-            d_s = -((ogx * gx + ogy * gy) / a_s).sum(axis=(1, 2))
+            d_s = -((ogx * out[..., 0] + ogy * out[..., 1]) / a_s).sum(axis=(1, 2))
             d_tx = (-ogx / a_s).sum(axis=(1, 2))
             d_ty = (-ogy / a_s).sum(axis=(1, 2))
         else:
+            cx = base_coords(out_w)[None, None, :]
+            cy = base_coords(out_h)[None, :, None]
             d_s = (ogx * cx + ogy * cy).sum(axis=(1, 2))
             d_tx = ogx.sum(axis=(1, 2))
             d_ty = ogy.sum(axis=(1, 2))
-        d_p = np.stack([d_s, d_tx, d_ty], axis=1)
-        return (d_p[0] if squeezed else d_p,)
+        return (np.stack([d_s, d_tx, d_ty], axis=1),)
 
-    if squeezed:
-        out = out[0]
     return record(out, [params], bwd)
 
 
-def constrain_attention(raw: Tensor, s_min: float = SCALE_MIN,
-                        s_max: float = SCALE_MAX) -> Tensor:
-    """Map an unconstrained 3-vector (or batch of them) onto valid
-    attention parameters: a_s in (s_min, s_max) via a sigmoid, and
-    translations shrunk by (1 - a_s) so the window stays inside the image
-    for any regressor output."""
-    squeezed = raw.ndim == 1
-    rd = raw.data[None] if squeezed else raw.data
-    if rd.ndim != 2 or rd.shape[1] != 3:
-        raise ShapeError(f"raw attention output must be [B,3] or [3], got {raw.shape}")
+def constrain_attention(raw: Tensor) -> Tensor:
+    """Map unconstrained rows [B,3] onto valid attention parameters: a_s
+    in (SCALE_MIN, SCALE_MAX) via a sigmoid, and translations shrunk by
+    (1 - a_s) so the window stays inside the image for any regressor
+    output."""
+    rd = _check_rows(raw, "raw attention output")
     sig = _sigmoid(rd[:, 0])
-    a_s = s_min + (s_max - s_min) * sig
+    a_s = SCALE_MIN + (SCALE_MAX - SCALE_MIN) * sig
     t1 = np.tanh(rd[:, 1])
     t2 = np.tanh(rd[:, 2])
     room = 1.0 - a_s
     out = np.stack([a_s, room * t1, room * t2], axis=1)
 
     def bwd(og):
-        og = og[None] if squeezed else og
-        ds_du0 = (s_max - s_min) * sig * (1.0 - sig)
+        ds_du0 = (SCALE_MAX - SCALE_MIN) * sig * (1.0 - sig)
         d_u0 = (og[:, 0] - og[:, 1] * t1 - og[:, 2] * t2) * ds_du0
         d_u1 = og[:, 1] * room * (1.0 - t1 * t1)
         d_u2 = og[:, 2] * room * (1.0 - t2 * t2)
-        d_raw = np.stack([d_u0, d_u1, d_u2], axis=1)
-        return (d_raw[0] if squeezed else d_raw,)
+        return (np.stack([d_u0, d_u1, d_u2], axis=1),)
 
-    if squeezed:
-        out = out[0]
     return record(out, [raw], bwd)
 
 
-def _grid_for(p, out_h: int, out_w: int, inverse: bool):
-    if isinstance(p, AffineAttention):
-        mat = invert_transform(p) if inverse else make_transform(p)
-        return Tensor(generate_grid(mat, out_h, out_w))
-    if isinstance(p, Tensor):
-        return affine_grid(p, out_h, out_w, inverse=inverse)
-    raise ShapeError(f"attention parameter must be AffineAttention or Tensor, got {type(p)}")
+def st(image: Tensor, params: Tensor, out_h: int, out_w: int) -> Tensor:
+    """Sample the windows `params` [B,3] out of `image` [B,C,H,W]."""
+    return bilinear_sample(image, affine_grid(params, out_h, out_w))
 
 
-def st(image: Tensor, p, out_h: int, out_w: int) -> Tensor:
-    """Sample the window described by `p` out of `image`."""
-    return bilinear_sample(image, _grid_for(p, out_h, out_w, inverse=False))
+def st_inverse(patch: Tensor, params: Tensor, out_h: int, out_w: int) -> Tensor:
+    """Write `patch` [B,C,h,w] back onto an out_h x out_w canvas at the
+    windows `params` [B,3]; everything outside a window is exactly zero."""
+    return bilinear_sample(patch, affine_grid(params, out_h, out_w, inverse=True))
 
 
-def st_inverse(patch: Tensor, p, out_h: int, out_w: int) -> Tensor:
-    """Write `patch` back onto an out_h x out_w canvas at the window
-    described by `p`; everything outside the window is exactly zero."""
-    return bilinear_sample(patch, _grid_for(p, out_h, out_w, inverse=True))
-
-
-def inverse_support(p, out_h: int, out_w: int, src_h: int, src_w: int) -> np.ndarray:
-    """Canvas mask of pixels st_inverse can touch for window `p`."""
-    if isinstance(p, AffineAttention):
-        grid = generate_grid(invert_transform(p), out_h, out_w)
-        return sample_support(grid, src_h, src_w)
-    pd = p.data if isinstance(p, Tensor) else np.asarray(p, dtype=np.float64)
-    if pd.ndim == 1:
-        pd = pd[None]
-    masks = [sample_support(
-        generate_grid(invert_transform(AffineAttention(*row)), out_h, out_w),
-        src_h, src_w) for row in pd]
-    return np.stack(masks, axis=0)
+def inverse_support(params: Tensor, out_h: int, out_w: int, src_h: int, src_w: int) -> np.ndarray:
+    """[B, out_h, out_w] canvas mask of the pixels st_inverse can touch
+    when it writes a src_h x src_w patch at the windows `params` [B,3]."""
+    grid = _window_grid(_check_rows(params, "attention params"), out_h, out_w, inverse=True)
+    px, py = _pixel_coords(grid, src_h, src_w)
+    return (px > -1.0) & (px < src_w) & (py > -1.0) & (py < src_h)

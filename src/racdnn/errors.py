@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: usage problems exit 1, data problems
-exit 2, numeric failures exit 3.
+Every error the package raises on bad input derives from
+:class:`RacdnnError`, so a caller can catch them all with one clause.
 """
 
 
@@ -35,18 +35,6 @@ class GroundtruthError(RacdnnError):
 
 class SpecError(RacdnnError):
     """Degenerate dataset specification."""
-
-
-class ParseError(RacdnnError):
-    """Malformed file content. Carries the byte offset of the failure."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
-
-
-class CheckpointError(RacdnnError):
-    """Checkpoint file is malformed, or its version/shapes do not match."""
 
 
 class NumericError(RacdnnError):

@@ -8,6 +8,11 @@ followed by a capacity-adding 1x1 convolution. The refinement network
 re-uses the same encoder/decoder shapes inside a two-layer recurrent loop
 that attends to one window per iteration and accumulates decoded patches
 into the running map.
+
+Both networks take batched input only: images ``[B,3,S,S]`` and raw maps
+``[B,1,M,M]``. A rollout returns a :class:`RefinementTrace` holding each
+iteration's window and running map, which is all it takes to see where
+attention looked and what it wrote there.
 """
 
 from __future__ import annotations
@@ -160,18 +165,11 @@ def build_decoder(p: Preset, rng) -> Stack:
     return Stack(layers)
 
 
-def _as_image_batch(images: Tensor, p: Preset):
-    data_ndim = images.ndim
-    if data_ndim == 3:
-        x, squeezed = T.reshape(images, (1,) + images.shape), True
-    elif data_ndim == 4:
-        x, squeezed = images, False
-    else:
-        raise ShapeError(f"expected [3,H,W] or [B,3,H,W], got {images.shape}")
-    expect = (p.in_channels, p.input_size, p.input_size)
-    if x.shape[1:] != expect:
-        raise ShapeError(f"preset {p.name!r} expects image shape {expect}, got {x.shape[1:]}")
-    return x, squeezed
+def _check_images(images: Tensor, p: Preset) -> Tensor:
+    if images.ndim != 4 or images.shape[1:] != (p.in_channels, p.input_size, p.input_size):
+        raise ShapeError(f"preset {p.name!r} expects images "
+                         f"[B,{p.in_channels},{p.input_size},{p.input_size}], got {images.shape}")
+    return images
 
 
 class InitialNet:
@@ -184,11 +182,8 @@ class InitialNet:
         self.decoder = build_decoder(p, rng)
 
     def forward_raw(self, images: Tensor, mode: str = "infer") -> Tensor:
-        x, squeezed = _as_image_batch(images, self.preset)
-        r = self.decoder(self.encoder(x, mode), mode)
-        if squeezed:
-            r = T.reshape(r, r.shape[1:])
-        return r
+        x = _check_images(images, self.preset)
+        return self.decoder(self.encoder(x, mode), mode)
 
     def initial_saliency(self, images: Tensor, mode: str = "infer"):
         """Raw map and its sigmoid-normalized form."""
@@ -204,19 +199,16 @@ class InitialNet:
     def parameters(self) -> dict[str, Tensor]:
         return dict(self.tensors(trainable_only=True))
 
-    def state_dict(self) -> dict[str, Tensor]:
-        return dict(self.tensors(trainable_only=False))
-
 
 @dataclass
 class RefinementTrace:
-    """Per-iteration record of a refinement rollout. Entry 0 is the
-    whole-image observation; later entries hold the attended window, the
-    sampled patch, the written-back delta, and the running raw map."""
+    """Per-iteration record of a refinement rollout: the attended window
+    and the running raw map after that iteration. Entry 0 is the
+    whole-image observation (the identity window and the initial map).
+    What iteration i wrote is ``maps[i] - maps[i-1]``, nonzero only inside
+    ``windows[i]``."""
 
     windows: list = field(default_factory=list)    # [B,3] arrays
-    patches: list = field(default_factory=list)    # [B,3,H,W] or None
-    deltas: list = field(default_factory=list)     # [B,1,M,M] or None
     maps: list = field(default_factory=list)       # [B,1,M,M]
     raw_final: Optional[Tensor] = None             # graph-attached final map
 
@@ -230,12 +222,8 @@ class RefineNet:
     a fully-connected second recurrent layer, and a two-layer localization
     regressor feeding the attention constraint mapping."""
 
-    def __init__(self, p: Preset, rng: np.random.Generator,
-                 n_iterations: int = DEFAULT_ITERATIONS):
-        if n_iterations < 1:
-            raise ArgumentError("need at least the whole-image iteration")
+    def __init__(self, p: Preset, rng: np.random.Generator):
         self.preset = p
-        self.n_iterations = n_iterations
         c, s, d = p.code_channels, p.code_size, p.state_dim
         self.context = build_encoder(p, rng)
         self.encoder = build_encoder(p, rng)
@@ -293,53 +281,45 @@ class RefineNet:
 
     def refine_step(self, r_prev: Tensor, h1: Tensor, tau: Tensor, mode: str = "infer"):
         """Decode the current state into a patch, write it back through the
-        inverse transformer, and add it inside the window only."""
+        inverse transformer, and add it inside the window only. Returns the
+        new raw map."""
         patch = self.decoder(h1, mode)
         m = self.preset.map_size
         delta = at.st_inverse(patch, tau, m, m)
         support = at.inverse_support(tau, m, m, m, m)[:, None, :, :]
-        return T.masked_add(r_prev, delta, support), delta
+        return T.masked_add(r_prev, delta, support)
 
-    def run_refinement(self, images: Tensor, r0: Tensor, n: Optional[int] = None,
+    def run_refinement(self, images: Tensor, r0: Tensor, n: int = DEFAULT_ITERATIONS,
                        mode: str = "infer"):
         """Full rollout: iteration 0 observes the whole image; each later
         iteration attends, encodes, updates both recurrent states, and
         accumulates a refinement delta. Returns the final sigmoid map and
         the per-iteration trace."""
-        n = self.n_iterations if n is None else n
         if n < 1:
             raise ArgumentError("refinement needs n >= 1")
-        x, squeezed = _as_image_batch(images, self.preset)
+        x = _check_images(images, self.preset)
         b = x.shape[0]
         m = self.preset.map_size
-        r = T.reshape(r0, (1,) + r0.shape) if r0.ndim == 3 else r0
-        if r.shape != (b, 1, m, m):
+        if r0.shape != (b, 1, m, m):
             raise ShapeError(f"running map must be [B,1,{m},{m}], got {r0.shape}")
 
+        r = r0
         trace = RefinementTrace()
         (h1, h2), tau = self.init_state(x, mode)
         trace.windows.append(np.tile([1.0, 0.0, 0.0], (b, 1)))
-        trace.patches.append(None)
-        trace.deltas.append(None)
         trace.maps.append(r.data.copy())
 
         for _ in range(1, n):
-            patch_in = self.attend(x, tau)
-            z = self.encoder(patch_in, mode)
+            z = self.encoder(self.attend(x, tau), mode)
             h1 = self.conv_recurrent_step(z, h1)
-            r, delta = self.refine_step(r, h1, tau, mode)
+            r = self.refine_step(r, h1, tau, mode)
             h2 = self.fc_recurrent_step(h1, h2)
             trace.windows.append(tau.data.copy())
-            trace.patches.append(patch_in.data.copy())
-            trace.deltas.append(delta.data.copy())
             trace.maps.append(r.data.copy())
             tau = self.localize(h2)
 
         trace.raw_final = r
-        s_refined = T.sigmoid(r)
-        if squeezed:
-            s_refined = T.reshape(s_refined, s_refined.shape[1:])
-        return s_refined, trace
+        return T.sigmoid(r), trace
 
     # -- parameter plumbing ----------------------------------------------
 
@@ -375,16 +355,9 @@ class RefineNet:
     def parameters(self) -> dict[str, Tensor]:
         return dict(self.tensors(trainable_only=True))
 
-    def state_dict(self) -> dict[str, Tensor]:
-        return dict(self.tensors(trainable_only=False))
-
 
 def refinement_loss(r_final: Tensor, target) -> Tensor:
     """Binary cross-entropy of the final map against a binary groundtruth,
     computed in logit space for stability."""
     return nn.bce_with_logits(r_final, target)
 
-
-def saliency_loss(s_map: Tensor, target) -> Tensor:
-    """Probability-space BCE for already-normalized maps."""
-    return nn.bce_loss(s_map, target)

@@ -1,11 +1,11 @@
 """Neural network layers and losses on top of the autodiff tensors.
 
-Spatial operations accept a single image ``[C,H,W]`` or a batch
-``[B,C,H,W]``; vectors may be ``[n]`` or batched ``[B,n]``. Convolution is
-cross-correlation (no kernel flip). Binary cross-entropy exists in two
-forms: a probability-space version with clamping, and a logit-space
-version that stays finite for logits far outside the sigmoid's useful
-range.
+Every layer takes batched input only: spatial layers take ``[B,C,H,W]``
+and vector layers take ``[B,n]``; a single image is a batch of one.
+Convolution is cross-correlation (no kernel flip). Binary cross-entropy
+exists in two forms: a probability-space version with clamping, and a
+logit-space version that stays finite for logits far outside the
+sigmoid's useful range.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from .errors import BatchError, ShapeError
 from .tensor import Tensor, record, _sigmoid
 
 BCE_EPS = 1e-7
+# batchnorm: weight of the old running statistic, and the variance floor
+BN_MOMENTUM = 0.9
+BN_EPSILON = 1e-5
 
 
 @dataclass
@@ -35,8 +38,6 @@ class BatchNormParams:
     beta: Tensor             # [C]
     running_mean: Tensor     # [C], updated in train mode
     running_var: Tensor      # [C]
-    momentum: float = 0.9    # weight of the old running statistic
-    epsilon: float = 1e-5
 
 
 @dataclass
@@ -45,13 +46,10 @@ class LinearParams:
     bias: Optional[Tensor]   # [out]
 
 
-def _as_batched(x: Tensor, rank: int):
-    """View data as rank-`rank` with a leading batch axis; report if added."""
-    if x.ndim == rank:
-        return x.data, False
-    if x.ndim == rank - 1:
-        return x.data[None], True
-    raise ShapeError(f"expected rank {rank - 1} or {rank}, got shape {x.shape}")
+def _check_4d(x: Tensor, what: str) -> np.ndarray:
+    if x.ndim != 4:
+        raise ShapeError(f"{what} expects [B,C,H,W], got {x.shape}")
+    return x.data
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -60,7 +58,7 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """Strided cross-correlation with symmetric zero padding."""
-    data, squeezed = _as_batched(x, 4)
+    data = _check_4d(x, "conv2d")
     b, c_in, h, w = data.shape
     c_out, c_in_w, kh, kw = p.weights.shape
     if c_in != c_in_w:
@@ -92,12 +90,8 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
             for j in range(kw):
                 d_padded[:, :, i:i + s * ho:s, j:j + s * wo:s] += d_cols[:, :, i, j]
         d_x = d_padded[:, :, pad:hp - pad, pad:wp - pad] if pad else d_padded
-        if squeezed:
-            d_x = d_x[0]
         return d_x, d_w, d_b
 
-    if squeezed:
-        out = out[0]
     return record(out, [x, p.weights, p.bias], bwd)
 
 
@@ -105,18 +99,14 @@ def unpool(x: Tensor, k: int) -> Tensor:
     """Upsize by k: each value lands in the top-left corner of its k x k block."""
     if k < 1:
         raise ShapeError(f"unpool factor must be >= 1, got {k}")
-    data, squeezed = _as_batched(x, 4)
+    data = _check_4d(x, "unpool")
     b, c, h, w = data.shape
     out = np.zeros((b, c, h * k, w * k))
     out[:, :, ::k, ::k] = data
 
     def bwd(og):
-        og = og[None] if squeezed else og
-        d_x = og[:, :, ::k, ::k].copy()
-        return (d_x[0] if squeezed else d_x,)
+        return (og[:, :, ::k, ::k].copy(),)
 
-    if squeezed:
-        out = out[0]
     return record(out, [x], bwd)
 
 
@@ -141,9 +131,9 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: str = "train") -> Tensor:
             raise BatchError("train-mode batchnorm needs batch size >= 2")
         mean = data.mean(axis=axes, keepdims=True)
         var = data.var(axis=axes, keepdims=True)
-        istd = 1.0 / np.sqrt(var + p.epsilon)
+        istd = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat = (data - mean) * istd
-        m = p.momentum
+        m = BN_MOMENTUM
         p.running_mean.data = m * p.running_mean.data + (1 - m) * mean.reshape(c)
         p.running_var.data = m * p.running_var.data + (1 - m) * var.reshape(c)
         n = data.size // c
@@ -161,7 +151,7 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: str = "train") -> Tensor:
 
     else:
         rmean = p.running_mean.data.reshape(bshape)
-        istd = 1.0 / np.sqrt(p.running_var.data.reshape(bshape) + p.epsilon)
+        istd = 1.0 / np.sqrt(p.running_var.data.reshape(bshape) + BN_EPSILON)
         xhat = (data - rmean) * istd
 
         def bwd(og):
@@ -174,35 +164,22 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: str = "train") -> Tensor:
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
-    """Affine map weights @ x + bias for a vector or a batch of vectors."""
-    out_dim, in_dim = p.weights.shape
+    """Affine map x @ weights.T + bias for a batch of vectors [B,n]."""
+    if x.ndim != 2:
+        raise ShapeError(f"linear expects a batch of vectors [B,n], got {x.shape}")
+    in_dim = p.weights.shape[1]
+    if x.shape[1] != in_dim:
+        raise ShapeError(f"input has {x.shape[1]} features, weights expect {in_dim}")
     w = p.weights.data
-    if x.ndim == 1:
-        if x.shape[0] != in_dim:
-            raise ShapeError(f"input has {x.shape[0]} features, weights expect {in_dim}")
-        out = w @ x.data
-        if p.bias is not None:
-            out = out + p.bias.data
-        x_data = x.data
+    x_data = x.data
+    out = x_data @ w.T
+    if p.bias is not None:
+        out = out + p.bias.data[None]
 
-        def bwd(og):
-            d_b = og if p.bias is not None else None
-            return w.T @ og, np.outer(og, x_data), d_b
+    def bwd(og):
+        d_b = og.sum(axis=0) if p.bias is not None else None
+        return og @ w, og.T @ x_data, d_b
 
-    elif x.ndim == 2:
-        if x.shape[1] != in_dim:
-            raise ShapeError(f"input has {x.shape[1]} features, weights expect {in_dim}")
-        out = x.data @ w.T
-        if p.bias is not None:
-            out = out + p.bias.data[None]
-        x_data = x.data
-
-        def bwd(og):
-            d_b = og.sum(axis=0) if p.bias is not None else None
-            return og @ w, og.T @ x_data, d_b
-
-    else:
-        raise ShapeError(f"linear expects a vector or batch of vectors, got {x.shape}")
     return record(out, [x, p.weights, p.bias], bwd)
 
 

@@ -102,36 +102,8 @@ class Tensor:
             raise ArgumentError(f"item() needs a single element, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-
-def _tracked(t) -> bool:
-    """True if gradients will flow through `t` under the active graph."""
-    g = _active_graph()
-    if g is None or not isinstance(t, Tensor):
-        return False
-    if t.requires_grad:
-        return True
-    return t._node is not None and t._node[0] is g
 
 
 def record(out_data: np.ndarray, inputs: Sequence[Tensor],
@@ -216,11 +188,6 @@ def full(shape, value: Scalar, requires_grad: bool = False) -> Tensor:
     return Tensor(np.full(_validate_shape(shape), float(value)), requires_grad)
 
 
-def uniform(shape, lo: float, hi: float, rng: np.random.Generator,
-            requires_grad: bool = False) -> Tensor:
-    return Tensor(rng.uniform(lo, hi, size=_validate_shape(shape)), requires_grad)
-
-
 def he_normal(shape, fan_in: int, rng: np.random.Generator,
               requires_grad: bool = False) -> Tensor:
     """Normal(0, sqrt(2/fan_in)) initialization, suited to ReLU stacks."""
@@ -228,22 +195,6 @@ def he_normal(shape, fan_in: int, rng: np.random.Generator,
         raise ArgumentError("fan_in must be >= 1")
     std = np.sqrt(2.0 / float(fan_in))
     return Tensor(rng.normal(0.0, std, size=_validate_shape(shape)), requires_grad)
-
-
-def create(shape, init: str = "zeros", *, value: Scalar = 0.0,
-           lo: float = -1.0, hi: float = 1.0, fan_in: int = 1,
-           seed: Optional[int] = None, requires_grad: bool = False) -> Tensor:
-    """Single-entry constructor covering all supported fill rules."""
-    if init == "zeros":
-        return zeros(shape, requires_grad)
-    if init == "constant":
-        return full(shape, value, requires_grad)
-    rng = np.random.default_rng(seed)
-    if init == "uniform":
-        return uniform(shape, lo, hi, rng, requires_grad)
-    if init == "he-normal":
-        return he_normal(shape, fan_in, rng, requires_grad)
-    raise ArgumentError(f"unknown init rule {init!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +242,6 @@ def mul(a: Tensor, b) -> Tensor:
     return record(a_data * b_data, inputs, bwd)
 
 
-def scale(a: Tensor, c: Scalar) -> Tensor:
-    c = float(c)
-
-    def bwd(og):
-        return (og * c,)
-
-    return record(a.data * c, [a], bwd)
-
-
 def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0.0)
     mask = a.data > 0.0
@@ -326,38 +268,6 @@ def sigmoid(a: Tensor) -> Tensor:
         return (og * s * (1.0 - s),)
 
     return record(s, [a], bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-
-    def bwd(og):
-        return (og * (1.0 - t * t),)
-
-    return record(t, [a], bwd)
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "max-with-0": relu,
-    "sigmoid": sigmoid,
-    "scalar-scale": scale,
-}
-
-
-def elementwise(kind: str, a: Tensor, b=None) -> Tensor:
-    """Dispatch by kind name; binary kinds require `b` (tensor or scalar)."""
-    try:
-        fn = _ELEMENTWISE[kind]
-    except KeyError:
-        raise ArgumentError(f"unknown elementwise kind {kind!r}") from None
-    if kind in ("add", "sub", "mul", "scalar-scale"):
-        if b is None:
-            raise ArgumentError(f"elementwise {kind!r} needs a second operand")
-        return fn(a, b)
-    return fn(a)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +306,6 @@ def sum_all(a: Tensor) -> Tensor:
         return (np.full(in_shape, og.reshape(-1)[0]),)
 
     return record(np.array([a.data.sum()]), [a], bwd)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_all(a), 1.0 / a.size)
 
 
 def masked_add(base: Tensor, delta: Tensor, mask: np.ndarray) -> Tensor:

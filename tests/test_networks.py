@@ -3,6 +3,7 @@ import pytest
 
 from racdnn import attention as at
 from racdnn import networks as N
+from racdnn import nn
 from racdnn import tensor as T
 from racdnn.errors import ArgumentError, ShapeError
 
@@ -19,6 +20,31 @@ def rand_images(p, b=2, seed=1):
     return T.Tensor(np.random.default_rng(seed).uniform(size=(b, 3, p.input_size, p.input_size)))
 
 
+# one unbatched input per batched-only op: an image, patch or map without
+# its batch axis, a vector or window row without one, or a grid without one
+UNBATCHED = {
+    "conv2d": lambda: nn.conv2d(T.zeros([3, 5, 5]), nn.Conv2dParams(T.zeros([1, 3, 1, 1]), None)),
+    "unpool": lambda: nn.unpool(T.zeros([1, 2, 2]), 2),
+    "linear": lambda: nn.linear(T.zeros([2]), nn.LinearParams(T.zeros([1, 2]), None)),
+    "bilinear_sample.source": lambda: at.bilinear_sample(T.zeros([1, 4, 4]), np.zeros((1, 2, 2, 2))),
+    "bilinear_sample.grid": lambda: at.bilinear_sample(T.zeros([1, 1, 4, 4]), np.zeros((2, 2, 2))),
+    "affine_grid": lambda: at.affine_grid(T.Tensor([1.0, 0.0, 0.0]), 2, 2),
+    "constrain_attention": lambda: at.constrain_attention(T.zeros([3])),
+    "inverse_support": lambda: at.inverse_support(T.Tensor([1.0, 0.0, 0.0]), 2, 2, 2, 2),
+    "InitialNet.images": lambda: make_nets()[1].forward_raw(T.zeros([3, 16, 16])),
+    "RefineNet.images": lambda: make_nets()[2].run_refinement(T.zeros([3, 16, 16]),
+                                                             T.zeros([1, 1, 16, 16])),
+    "RefineNet.r0": lambda: make_nets()[2].run_refinement(T.zeros([1, 3, 16, 16]),
+                                                         T.zeros([1, 16, 16])),
+}
+
+
+@pytest.mark.parametrize("op", sorted(UNBATCHED))
+def test_unbatched_input_rejected(op):
+    with pytest.raises(ShapeError):
+        UNBATCHED[op]()
+
+
 class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ArgumentError):
@@ -33,11 +59,11 @@ class TestPresets:
 
     def test_paper_preset_shape_algebra(self):
         p, init, _ = make_nets("paper")
-        img = T.Tensor(np.random.default_rng(2).uniform(size=(3, 224, 224)))
-        code = init.encoder(T.reshape(img, (1, 3, 224, 224)), "infer")
+        img = T.Tensor(np.random.default_rng(2).uniform(size=(1, 3, 224, 224)))
+        code = init.encoder(img, "infer")
         assert code.shape == (1, 256, 7, 7)
         r0, _ = init.initial_saliency(img)
-        assert r0.shape == (1, 56, 56)
+        assert r0.shape == (1, 1, 56, 56)
 
     def test_paper_recurrent_state_shapes(self):
         p, _, refine = make_nets("paper")
@@ -51,7 +77,7 @@ class TestPresets:
     def test_wrong_input_size_rejected(self):
         p, init, _ = make_nets("tiny")
         with pytest.raises(ShapeError):
-            init.initial_saliency(T.zeros([3, 17, 17]))
+            init.initial_saliency(T.zeros([1, 3, 17, 17]))
 
 
 class TestInitialNet:
@@ -203,7 +229,7 @@ class TestRefineStep:
         r_prev = T.Tensor(np.random.default_rng(19).normal(size=(2, 1, 16, 16)))
         h1 = T.Tensor(np.random.default_rng(20).normal(size=(2, p.code_channels, 4, 4)))
         tau = T.Tensor(np.tile([0.5, 0.1, -0.2], (2, 1)))
-        r_new, _ = refine.refine_step(r_prev, h1, tau)
+        r_new = refine.refine_step(r_prev, h1, tau)
         assert r_new.data.tobytes() == r_prev.data.tobytes()
 
     def test_top_left_window_leaves_bottom_right_untouched(self):
@@ -212,7 +238,7 @@ class TestRefineStep:
         r_prev = T.Tensor(np.random.default_rng(22).normal(size=(2, 1, m, m)))
         h1 = T.Tensor(np.random.default_rng(23).normal(size=(2, p.code_channels, 4, 4)))
         tau = T.Tensor(np.tile([0.5, -0.5, -0.5], (2, 1)))
-        r_new, _ = refine.refine_step(r_prev, h1, tau)
+        r_new = refine.refine_step(r_prev, h1, tau)
         support = at.inverse_support(tau, m, m, m, m)[:, None]
         np.testing.assert_array_equal(r_new.data[~support], r_prev.data[~support])
         q = m // 2 + 2
@@ -224,7 +250,7 @@ class TestRefineStep:
         r_prev = T.Tensor(np.zeros((1, 1, m, m)))
         h1 = T.Tensor(np.random.default_rng(25).normal(size=(1, p.code_channels, 4, 4)))
         tau = T.Tensor(np.array([[1.0, 0.0, 0.0]]))
-        r_new, _ = refine.refine_step(r_prev, h1, tau)
+        r_new = refine.refine_step(r_prev, h1, tau)
         assert np.mean(r_new.data != 0.0) > 0.95
 
 

@@ -19,33 +19,33 @@ def conv_params(w, b=None, stride=1, padding=0, grad=True):
 
 class TestConv2d:
     def test_identity_kernel(self):
-        x = T.Tensor(np.random.default_rng(0).normal(size=(3, 5, 5)))
+        x = T.Tensor(np.random.default_rng(0).normal(size=(1, 3, 5, 5)))
         p = conv_params(np.eye(3).reshape(3, 3, 1, 1), np.zeros(3))
         out = nn.conv2d(x, p)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_hand_cross_correlation(self):
-        x = T.Tensor(np.array([[[0.0, 1, 0], [1, 1, 1], [0, 1, 0]]]))
+        x = T.Tensor(np.array([[[[0.0, 1, 0], [1, 1, 1], [0, 1, 0]]]]))
         p = conv_params(np.ones((1, 1, 3, 3)), np.zeros(1), padding=1)
         out = nn.conv2d(x, p)
-        assert out.data[0, 1, 1] == 5.0
+        assert out.data[0, 0, 1, 1] == 5.0
         # corners see only the 2x2 neighbourhood that exists
-        assert out.data[0, 0, 0] == 3.0
+        assert out.data[0, 0, 0, 0] == 3.0
 
     def test_stride_and_shape_algebra(self):
-        x = T.zeros([3, 11, 11])
+        x = T.zeros([1, 3, 11, 11])
         p = conv_params(np.zeros((4, 3, 5, 5)), np.zeros(4), stride=2, padding=2)
         out = nn.conv2d(x, p)
-        assert out.shape == (4, 6, 6)
+        assert out.shape == (1, 4, 6, 6)
         assert nn.conv_output_size(11, 5, 2, 2) == 6
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            nn.conv2d(T.zeros([2, 4, 4]), conv_params(np.zeros((1, 3, 3, 3))))
+            nn.conv2d(T.zeros([1, 2, 4, 4]), conv_params(np.zeros((1, 3, 3, 3))))
 
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
-            nn.conv2d(T.zeros([1, 2, 2]), conv_params(np.zeros((1, 1, 5, 5))))
+            nn.conv2d(T.zeros([1, 1, 2, 2]), conv_params(np.zeros((1, 1, 5, 5))))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -80,26 +80,26 @@ class TestConv2d:
 
 class TestUnpool:
     def test_top_left_rule_bit_exact(self):
-        out = nn.unpool(T.Tensor([[[7.5]]]), 2)
-        np.testing.assert_array_equal(out.data, [[[7.5, 0.0], [0.0, 0.0]]])
+        out = nn.unpool(T.Tensor([[[[7.5]]]]), 2)
+        np.testing.assert_array_equal(out.data, [[[[7.5, 0.0], [0.0, 0.0]]]])
 
     def test_k1_identity(self):
-        x = T.Tensor(np.random.default_rng(1).normal(size=(2, 3, 3)))
+        x = T.Tensor(np.random.default_rng(1).normal(size=(1, 2, 3, 3)))
         np.testing.assert_array_equal(nn.unpool(x, 1).data, x.data)
 
     def test_sparsity_count(self):
-        x = T.Tensor(np.random.default_rng(2).uniform(0.5, 1.0, size=(1, 7, 7)))
+        x = T.Tensor(np.random.default_rng(2).uniform(0.5, 1.0, size=(1, 1, 7, 7)))
         out = nn.unpool(x, 2)
-        assert out.shape == (1, 14, 14)
+        assert out.shape == (1, 1, 14, 14)
         assert np.count_nonzero(out.data) == 49
 
     def test_mass_preserved_exactly(self):
         # integer-valued entries keep both sums exact regardless of order
-        x = T.Tensor(np.random.default_rng(3).integers(-50, 50, size=(2, 5, 4)).astype(float))
+        x = T.Tensor(np.random.default_rng(3).integers(-50, 50, size=(1, 2, 5, 4)).astype(float))
         assert nn.unpool(x, 3).data.sum() == x.data.sum()
 
     def test_gradient_routes_to_top_left_only(self):
-        x = T.Tensor(np.random.default_rng(4).normal(size=(1, 2, 2)), requires_grad=True)
+        x = T.Tensor(np.random.default_rng(4).normal(size=(1, 1, 2, 2)), requires_grad=True)
         with T.Graph():
             out = nn.unpool(x, 2)
             T.backward(T.sum_all(T.mul(out, out)))
@@ -107,7 +107,7 @@ class TestUnpool:
 
     def test_invalid_factor(self):
         with pytest.raises(ShapeError):
-            nn.unpool(T.zeros([1, 2, 2]), 0)
+            nn.unpool(T.zeros([1, 1, 2, 2]), 0)
 
 
 def bn_params(c, gamma=None, beta=None, rmean=None, rvar=None):
@@ -184,24 +184,23 @@ class TestBatchNorm:
 
 class TestLinear:
     def test_identity(self):
-        x = T.Tensor([1.0, -2.0, 3.0])
+        x = T.Tensor([[1.0, -2.0, 3.0]])
         p = nn.LinearParams(T.Tensor(np.eye(3)), T.Tensor(np.zeros(3)))
         np.testing.assert_array_equal(nn.linear(x, p).data, x.data)
 
     def test_hand_value(self):
         p = nn.LinearParams(T.Tensor([[1.0, 1.0]]), T.Tensor([1.0]))
-        assert nn.linear(T.Tensor([2.0, 3.0]), p).data.tolist() == [6.0]
+        assert nn.linear(T.Tensor([[2.0, 3.0]]), p).data.tolist() == [[6.0]]
 
     def test_paper_scale_shapes(self):
         rng = np.random.default_rng(12)
         p = nn.LinearParams(T.Tensor(rng.normal(size=(256, 512))), T.Tensor(np.zeros(256)))
-        assert nn.linear(T.Tensor(rng.normal(size=512)), p).shape == (256,)
         assert nn.linear(T.Tensor(rng.normal(size=(4, 512))), p).shape == (4, 256)
 
     def test_dimension_mismatch(self):
         p = nn.LinearParams(T.Tensor(np.zeros((2, 3))), None)
         with pytest.raises(ShapeError):
-            nn.linear(T.Tensor([1.0, 2.0]), p)
+            nn.linear(T.Tensor([[1.0, 2.0]]), p)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(13)

@@ -17,17 +17,6 @@ class TestCreate:
         t = T.full([1], 1.0)
         assert t.data.tolist() == [1.0]
 
-    def test_seeded_uniform_is_reproducible(self):
-        a = T.uniform([3, 4], -1.0, 1.0, np.random.default_rng(42))
-        b = T.uniform([3, 4], -1.0, 1.0, np.random.default_rng(42))
-        assert a.data.tobytes() == b.data.tobytes()
-
-    def test_create_dispatcher(self):
-        assert np.array_equal(T.create([2], "constant", value=3.0).data, [3.0, 3.0])
-        u1 = T.create([5], "uniform", lo=0, hi=1, seed=7)
-        u2 = T.create([5], "uniform", lo=0, hi=1, seed=7)
-        assert np.array_equal(u1.data, u2.data)
-
     @pytest.mark.parametrize("shape", [[], [0], [2, -1], [2, 0, 3]])
     def test_invalid_shape(self, shape):
         with pytest.raises(ShapeError):
@@ -57,14 +46,6 @@ class TestElementwise:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.add(T.Tensor([1.0, 2.0]), T.Tensor([1.0, 2.0, 3.0]))
-
-    def test_dispatcher_matches_functions(self):
-        a = T.Tensor([-1.0, 2.0])
-        assert np.array_equal(T.elementwise("max-with-0", a).data, T.relu(a).data)
-        with pytest.raises(ArgumentError):
-            T.elementwise("add", a)
-        with pytest.raises(ArgumentError):
-            T.elementwise("nope", a)
 
     def test_sigmoid_extreme_inputs_finite(self):
         out = T.sigmoid(T.Tensor([-700.0, 700.0]))
@@ -211,9 +192,6 @@ class TestStructural:
     def test_reshape_bad_size(self):
         with pytest.raises(ShapeError):
             T.reshape(T.zeros([2, 3]), (4,))
-
-    def test_mean_all(self):
-        assert T.mean_all(T.Tensor([1.0, 2.0, 3.0, 6.0])).item() == 3.0
 
     def test_assert_finite(self):
         from racdnn.errors import NumericError
