@@ -68,6 +68,13 @@ class TestTransforms:
         np.testing.assert_allclose(inverse, at.affine_grid(T.Tensor(undo), 5, 6).data,
                                    atol=1e-12)
 
+    def test_nonpositive_scale_rejected(self):
+        for bad in (0.0, -0.3):
+            with pytest.raises(ScaleError):
+                grid_of((bad, 0.0, 0.0), 3, 3)
+            with pytest.raises(ScaleError):
+                grid_of((bad, 0.0, 0.0), 3, 3, inverse=True)
+
 
 class TestGenerateGrid:
     """Geometry of the grids affine_grid generates."""
