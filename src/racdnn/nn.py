@@ -82,7 +82,8 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
 
     def bwd(og):
         og4 = og.reshape(b, c_out, ho * wo)
-        d_w = np.einsum("bop,bkp->ok", og4, cols).reshape(p.weights.shape)
+        # batched matmul, not einsum: this einsum does not reach BLAS and measured 15x slower
+        d_w = np.matmul(og4, cols.transpose(0, 2, 1)).sum(axis=0).reshape(p.weights.shape)
         d_b = og4.sum(axis=(0, 2)) if p.bias is not None else None
         d_cols = np.matmul(w2.T, og4).reshape(b, c_in, kh, kw, ho, wo)
         d_padded = np.zeros((b, c_in, hp, wp))

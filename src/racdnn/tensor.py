@@ -152,6 +152,11 @@ def backward(loss: Tensor) -> None:
             if in_id is None or g_in is None:
                 continue
             grads[in_id] = g_in if grads[in_id] is None else grads[in_id] + g_in
+    # leaves let go of the finished tape, so it dies with the caller's last
+    # output tensor instead of living on until the next pass
+    for node in graph._nodes:
+        if node.tensor is not None:
+            node.tensor._node = None
 
 
 def zero_grads(params) -> None:

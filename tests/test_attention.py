@@ -157,6 +157,59 @@ class TestBilinearSample:
         check_grad(loss_src, src_data, src.grad, n_coords=20, tol=1e-3)
         check_grad(loss_grid, grid_data, grid.grad, n_coords=20, tol=1e-3)
 
+    @staticmethod
+    def zoomed_grid(rng, b, h, w, n):
+        """[b,n,n,2] grid zoomed into the 2x2 cells between pixels 1 and 3, so
+        many samples share their four corners, plus samples partly and fully
+        outside [-1, 1]; every pixel position is at least 0.1 from an integer."""
+        px = rng.integers(1, 3, size=(b, n, n)) + rng.uniform(0.1, 0.9, size=(b, n, n))
+        py = rng.integers(1, 3, size=(b, n, n)) + rng.uniform(0.1, 0.9, size=(b, n, n))
+        px[:, 0, :3] = [-0.5, w - 0.5, w + 0.3]
+        py[:, -1, :3] = [h - 0.6, -0.4, -1.7]
+        return np.stack([2 * px / (w - 1) - 1, 2 * py / (h - 1) - 1], axis=-1)
+
+    def test_batched_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(21)
+        h = w = 6
+        src_data = rng.normal(size=(2, 3, h, w))
+        grid_data = self.zoomed_grid(rng, 2, h, w, 5)
+        assert np.abs(grid_data).max() > 1.0
+
+        src = T.Tensor(src_data, requires_grad=True)
+        grid = T.Tensor(grid_data, requires_grad=True)
+        with T.Graph():
+            out = at.bilinear_sample(src, grid)
+            T.backward(T.sum_all(T.mul(out, out)))
+
+        def loss(sd, gd):
+            return float((at.bilinear_sample(T.Tensor(sd), gd).data ** 2).sum())
+
+        check_grad(lambda sd: loss(sd, grid_data), src_data, src.grad,
+                   coords=list(np.ndindex(src_data.shape)), tol=1e-3)
+        check_grad(lambda gd: loss(src_data, gd), grid_data, grid.grad, n_coords=40, tol=1e-3)
+
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_batched_source_gradient_stays_in_its_image(self, kept):
+        rng = np.random.default_rng(22)
+        h = w = 6
+        src_data = rng.normal(size=(2, 3, h, w))
+        grid_data = self.zoomed_grid(rng, 2, h, w, 5)
+        only_kept = np.zeros((2, 3, 5, 5))
+        only_kept[kept] = 1.0
+
+        src = T.Tensor(src_data, requires_grad=True)
+        with T.Graph():
+            out = at.bilinear_sample(src, grid_data)
+            T.backward(T.sum_all(T.mul(T.mul(out, out), only_kept)))
+        assert np.all(src.grad[1 - kept] == 0.0)
+
+        alone = T.Tensor(src_data[kept:kept + 1], requires_grad=True)
+        with T.Graph():
+            out = at.bilinear_sample(alone, grid_data[kept:kept + 1])
+            T.backward(T.sum_all(T.mul(out, out)))
+        np.testing.assert_allclose(src.grad[kept:kept + 1], alone.grad, rtol=1e-12)
+        assert np.all(np.any(alone.grad != 0.0, axis=(2, 3)))
+
 
 class TestSpatialTransformer:
     def test_st_identity(self):

@@ -77,6 +77,58 @@ class TestConv2d:
         check_grad(loss_of_w, w_data, p.weights.grad, n_coords=20, tol=1e-4)
         check_grad(loss_of_b, b_data, p.bias.grad, n_coords=2, tol=1e-4)
 
+    @staticmethod
+    def sigmoid_sum_grads(x_data, w_data, b_data, stride, pad):
+        """Gradients of sum_all(sigmoid(conv2d)), a loss separable per image."""
+        x = T.Tensor(x_data, requires_grad=True)
+        p = conv_params(w_data, b_data, stride, pad)
+        with T.Graph():
+            T.backward(T.sum_all(T.sigmoid(nn.conv2d(x, p))))
+        return x.grad, p.weights.grad, p.bias.grad
+
+    @pytest.mark.parametrize("k, stride, pad", [(1, 1, 0), (3, 2, 1), (5, 1, 2), (5, 2, 2)])
+    def test_batched_gradients_match_finite_differences(self, k, stride, pad):
+        rng = np.random.default_rng(11)
+        x_data = rng.normal(size=(3, 2, 7, 7))
+        w_data = rng.normal(size=(3, 2, k, k)) * 0.5
+        b_data = rng.normal(size=(3,))
+        d_x, d_w, d_b = self.sigmoid_sum_grads(x_data, w_data, b_data, stride, pad)
+
+        def loss(xd, wd, bd):
+            p = conv_params(wd, bd, stride, pad, grad=False)
+            return T.sum_all(T.sigmoid(nn.conv2d(T.Tensor(xd), p))).item()
+
+        # input coordinates in every image of the batch
+        x_coords = [(i, int(c), int(r), int(q)) for i in range(3)
+                    for c, r, q in rng.integers(0, [2, 7, 7], size=(7, 3))]
+        check_grad(lambda xd: loss(xd, w_data, b_data), x_data, d_x, coords=x_coords, tol=1e-4)
+        check_grad(lambda wd: loss(x_data, wd, b_data), w_data, d_w, n_coords=20, tol=1e-4)
+        check_grad(lambda bd: loss(x_data, w_data, bd), b_data, d_b, n_coords=3, tol=1e-4)
+
+    @pytest.mark.parametrize("k, stride, pad", [(1, 1, 0), (3, 2, 1), (5, 1, 2), (5, 2, 2)])
+    def test_batch_gradient_is_sum_of_single_image_gradients(self, k, stride, pad):
+        rng = np.random.default_rng(12)
+        x_data = rng.normal(size=(3, 2, 7, 7))
+        w_data = rng.normal(size=(3, 2, k, k)) * 0.5
+        b_data = rng.normal(size=(3,))
+        d_x, d_w, d_b = self.sigmoid_sum_grads(x_data, w_data, b_data, stride, pad)
+        singles = [self.sigmoid_sum_grads(x_data[i:i + 1], w_data, b_data, stride, pad)
+                   for i in range(3)]
+        np.testing.assert_allclose(d_w, sum(g[1] for g in singles), rtol=1e-12)
+        np.testing.assert_allclose(d_b, sum(g[2] for g in singles), rtol=1e-12)
+        np.testing.assert_allclose(d_x, np.concatenate([g[0] for g in singles]), rtol=1e-12)
+
+    def test_uncovered_input_gets_zero_gradient(self):
+        # h=8, k=3, stride 2, no padding: windows start at rows 0, 2, 4 and
+        # never reach row 7 (or column 7)
+        rng = np.random.default_rng(13)
+        d_x, _, _ = self.sigmoid_sum_grads(rng.normal(size=(3, 2, 8, 8)),
+                                           rng.normal(size=(4, 2, 3, 3)),
+                                           rng.normal(size=(4,)), 2, 0)
+        assert np.all(d_x[:, :, 7, :] == 0.0)
+        assert np.all(d_x[:, :, :, 7] == 0.0)
+        assert np.all(d_x[:, :, :7, :7] != 0.0)
+
 
 class TestUnpool:
     def test_top_left_rule_bit_exact(self):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,23 @@ class TestBackward:
             T.backward(loss)
             T.backward(loss)
         assert x.grad.tolist() == [8.0]
+
+    def test_finished_graph_is_released(self):
+        x = T.Tensor([2.0], requires_grad=True)
+        with T.Graph() as g:
+            loss = T.sum_all(T.mul(x, x))
+        T.backward(loss)
+        graph = weakref.ref(g)
+        del g, loss
+        assert graph() is None
+        assert x.grad.tolist() == [4.0]
+
+    def test_recording_after_backward_keeps_accumulating(self):
+        x = T.Tensor([2.0], requires_grad=True)
+        with T.Graph():
+            T.backward(T.sum_all(T.mul(x, x)))
+            T.backward(T.sum_all(T.mul(x, 3.0)))
+        assert x.grad.tolist() == [7.0]
 
     def test_reused_node_accumulates(self):
         x = T.Tensor([3.0], requires_grad=True)
