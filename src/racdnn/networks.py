@@ -3,7 +3,8 @@ recurrent attentional refinement network.
 
 The encoder shrinks an image to a spatially compact code by strided
 convolutions; the decoder grows the code back to a raw (pre-sigmoid)
-saliency map through unpool + convolution blocks, each 5x5 convolution
+saliency map through blocks of a 2x unpool fused into a 5x5 convolution
+(``nn.unpool_conv2d``, which never builds the unpooled zeros), each
 followed by a capacity-adding 1x1 convolution. The refinement network
 re-uses the same encoder/decoder shapes inside a two-layer recurrent loop
 that attends to one window per iteration and accumulates decoded patches
@@ -40,7 +41,7 @@ class Preset:
     name: str
     input_size: int
     encoder: tuple          # (c_in, c_out, kernel, stride, pad) per layer
-    decoder: tuple          # (c_in, c_mid, c_out) per unpool+conv block
+    decoder: tuple          # (c_in, c_mid, c_out) per block: unpool+5x5 conv, then 1x1 conv
     code_channels: int
     code_size: int
     map_size: int
@@ -101,8 +102,11 @@ class ConvLayer:
         self.norm = _bn(c_out) if norm else None
         self.act = act
 
+    def _conv(self, x: Tensor) -> Tensor:
+        return nn.conv2d(x, self.conv)
+
     def __call__(self, x: Tensor, mode: str) -> Tensor:
-        x = nn.conv2d(x, self.conv)
+        x = self._conv(x)
         if self.norm is not None:
             x = nn.batchnorm(x, self.norm, mode)
         if self.act:
@@ -120,15 +124,12 @@ class ConvLayer:
                 yield "rvar", self.norm.running_var
 
 
-class UnpoolLayer:
-    def __init__(self, k: int = 2):
-        self.k = k
+class UnpoolConvLayer(ConvLayer):
+    """A ConvLayer whose stride-1 conv reads its input unpooled by 2,
+    without building the unpooled zeros (``nn.unpool_conv2d``)."""
 
-    def __call__(self, x: Tensor, mode: str) -> Tensor:
-        return nn.unpool(x, self.k)
-
-    def tensors(self, trainable_only: bool):
-        return iter(())
+    def _conv(self, x: Tensor) -> Tensor:
+        return nn.unpool_conv2d(x, self.conv, 2)
 
 
 class Stack:
@@ -157,8 +158,7 @@ def build_decoder(p: Preset, rng) -> Stack:
     last = len(p.decoder) - 1
     for i, (c_in, c_mid, c_out) in enumerate(p.decoder):
         final = i == last
-        layers.append(UnpoolLayer(2))
-        layers.append(ConvLayer(c_in, c_mid, 5, 1, 2, rng))
+        layers.append(UnpoolConvLayer(c_in, c_mid, 5, 1, 2, rng))
         # 1x1 capacity layer; the very last one emits raw logits bare
         layers.append(ConvLayer(c_mid, c_out, 1, 1, 0, rng,
                                 norm=not final, act=not final))

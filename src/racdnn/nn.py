@@ -2,7 +2,12 @@
 
 Every layer takes batched input only: spatial layers take ``[B,C,H,W]``
 and vector layers take ``[B,n]``; a single image is a batch of one.
-Convolution is cross-correlation (no kernel flip). Binary cross-entropy
+Convolution is cross-correlation (no kernel flip). The decoder's block of
+unpool then stride-1 convolution is one op, :func:`unpool_conv2d`: a
+transposed convolution that never builds the unpooled zeros, equal to
+``conv2d(unpool(x, k), p)``, which stays as its reference. A stride,
+padding or unpool factor that is not an integer in range raises a typed
+:class:`~racdnn.errors.RacdnnError`. Binary cross-entropy
 exists in two forms: a probability-space version with clamping, and a
 logit-space version that stays finite for logits far outside the
 sigmoid's useful range.
@@ -15,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BatchError, ShapeError
+from .errors import ArgumentError, BatchError, ShapeError
 from .tensor import Tensor, record, _sigmoid
 
 BCE_EPS = 1e-7
@@ -56,9 +61,29 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def _require_int(value, lowest: int, what: str, error=ArgumentError) -> None:
+    """Reject `value` unless it is an integer >= `lowest`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lowest:
+        raise error(f"{what} must be an integer >= {lowest}, got {value!r}")
+
+
+def _scatter_taps(taps: np.ndarray, s: int, off: int, hw: tuple) -> np.ndarray:
+    """Zero canvas [B,C,*hw] plus every tap plane ``taps[:, :, i, j]`` of a
+    [B,C,kh,kw,h,w] array, the one at (y, x) landing at row ``off + i + s*y``
+    and column ``off + j + s*x``: col2im at stride `s`."""
+    b, c, kh, kw, h, w = taps.shape
+    canvas = np.zeros((b, c) + hw)
+    for i in range(kh):
+        for j in range(kw):
+            canvas[:, :, off + i:off + i + s * h:s, off + j:off + j + s * w:s] += taps[:, :, i, j]
+    return canvas
+
+
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """Strided cross-correlation with symmetric zero padding."""
     data = _check_4d(x, "conv2d")
+    _require_int(p.stride, 1, "conv2d stride")
+    _require_int(p.padding, 0, "conv2d padding")
     b, c_in, h, w = data.shape
     c_out, c_in_w, kh, kw = p.weights.shape
     if c_in != c_in_w:
@@ -86,10 +111,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         d_w = np.matmul(og4, cols.transpose(0, 2, 1)).sum(axis=0).reshape(p.weights.shape)
         d_b = og4.sum(axis=(0, 2)) if p.bias is not None else None
         d_cols = np.matmul(w2.T, og4).reshape(b, c_in, kh, kw, ho, wo)
-        d_padded = np.zeros((b, c_in, hp, wp))
-        for i in range(kh):
-            for j in range(kw):
-                d_padded[:, :, i:i + s * ho:s, j:j + s * wo:s] += d_cols[:, :, i, j]
+        d_padded = _scatter_taps(d_cols, s, 0, (hp, wp))
         d_x = d_padded[:, :, pad:hp - pad, pad:wp - pad] if pad else d_padded
         return d_x, d_w, d_b
 
@@ -98,8 +120,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
 
 def unpool(x: Tensor, k: int) -> Tensor:
     """Upsize by k: each value lands in the top-left corner of its k x k block."""
-    if k < 1:
-        raise ShapeError(f"unpool factor must be >= 1, got {k}")
+    _require_int(k, 1, "unpool factor", ShapeError)
     data = _check_4d(x, "unpool")
     b, c, h, w = data.shape
     out = np.zeros((b, c, h * k, w * k))
@@ -109,6 +130,60 @@ def unpool(x: Tensor, k: int) -> Tensor:
         return (og[:, :, ::k, ::k].copy(),)
 
     return record(out, [x], bwd)
+
+
+def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
+    """``conv2d(unpool(x, k), p)`` at stride 1, without the unpooled zeros.
+
+    A convolution over a zero-inserted input is a transposed convolution:
+    each input value, times the flipped kernel, is added onto the output at
+    stride `k`. Forward is one matmul at input resolution and a tap scatter;
+    backward gathers the output gradient's windows at stride `k`. Only the
+    order of the float64 sums differs from the composition.
+    """
+    data = _check_4d(x, "unpool_conv2d")
+    _require_int(k, 1, "unpool factor", ShapeError)
+    if p.stride != 1:
+        raise ArgumentError(f"unpool_conv2d needs conv stride 1, got {p.stride!r}")
+    _require_int(p.padding, 0, "unpool_conv2d padding")
+    b, c_in, h, w = data.shape
+    c_out, c_in_w, kh, kw = p.weights.shape
+    if c_in != c_in_w:
+        raise ShapeError(f"input has {c_in} channels, kernel expects {c_in_w}")
+    pad = p.padding
+    ho = conv_output_size(h * k, kh, 1, pad)
+    wo = conv_output_size(w * k, kw, 1, pad)
+    if ho < 1 or wo < 1:
+        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h * k}x{w * k} (pad {pad})")
+
+    # canvas geometry: flipped tap (i, j) of input (y, x) lands at
+    # (off + k*y + i, off + k*x + j); output row 0 is canvas row `start`
+    # (off > 0 only when the padding exceeds the kernel's reach)
+    off = max(0, pad - (kh - 1))
+    start = off + (kh - 1) - pad
+    hc = max(off + k * (h - 1) + kh, start + ho)
+    wc = max(off + k * (w - 1) + kw, start + wo)
+
+    # a[(o,i,j), c] = weights[o, c, kh-1-i, kw-1-j]
+    a = p.weights.data[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(c_out * kh * kw, c_in)
+    x3 = data.reshape(b, c_in, h * w)
+    taps = np.matmul(a, x3).reshape(b, c_out, kh, kw, h, w)
+    canvas = _scatter_taps(taps, k, off, (hc, wc))[:, :, start:start + ho, start:start + wo]
+    out = canvas + p.bias.data[None, :, None, None] if p.bias is not None else canvas.copy()
+
+    def bwd(og):
+        og_canvas = np.zeros((b, c_out, hc, wc))
+        og_canvas[:, :, start:start + ho, start:start + wo] = og
+        windows = np.lib.stride_tricks.sliding_window_view(og_canvas, (kh, kw), axis=(2, 3))
+        windows = windows[:, :, off:off + k * h:k, off:off + k * w:k]   # [B,C_out,h,w,kh,kw]
+        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c_out * kh * kw, h * w)
+        d_x = np.matmul(a.T, cols).reshape(data.shape)
+        d_a = np.matmul(cols, x3.transpose(0, 2, 1)).sum(axis=0)
+        d_w = d_a.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
+        d_b = og.sum(axis=(0, 2, 3)) if p.bias is not None else None
+        return d_x, d_w, d_b
+
+    return record(out, [x, p.weights, p.bias], bwd)
 
 
 def batchnorm(x: Tensor, p: BatchNormParams, mode: str = "train") -> Tensor:

@@ -25,6 +25,8 @@ def rand_images(p, b=2, seed=1):
 UNBATCHED = {
     "conv2d": lambda: nn.conv2d(T.zeros([3, 5, 5]), nn.Conv2dParams(T.zeros([1, 3, 1, 1]), None)),
     "unpool": lambda: nn.unpool(T.zeros([1, 2, 2]), 2),
+    "unpool_conv2d": lambda: nn.unpool_conv2d(T.zeros([1, 2, 2]),
+                                              nn.Conv2dParams(T.zeros([1, 1, 1, 1]), None), 2),
     "linear": lambda: nn.linear(T.zeros([2]), nn.LinearParams(T.zeros([1, 2]), None)),
     "bilinear_sample.source": lambda: at.bilinear_sample(T.zeros([1, 4, 4]), np.zeros((1, 2, 2, 2))),
     "bilinear_sample.grid": lambda: at.bilinear_sample(T.zeros([1, 1, 4, 4]), np.zeros((2, 2, 2))),
@@ -319,6 +321,37 @@ class TestRunRefinement:
         for key in mine:
             np.testing.assert_array_equal(mine[key].data, theirs[key].data)
             assert mine[key].data is not theirs[key].data
+
+
+class TestFusedDecoder:
+    @staticmethod
+    def composed_decoder(decoder, x, mode):
+        """The decoder as nn.unpool, then nn.conv2d, over the same parameters."""
+        for layer in decoder.layers:
+            if isinstance(layer, N.UnpoolConvLayer):
+                x = nn.unpool(x, 2)
+            x = nn.conv2d(x, layer.conv)
+            if layer.norm is not None:
+                x = nn.batchnorm(x, layer.norm, mode)
+            if layer.act:
+                x = T.relu(x)
+        return x
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_decoder_never_unpools_and_matches_composition(self, mode, monkeypatch):
+        p, init, refine = make_nets("tiny", seed=50)
+        imgs = rand_images(p, seed=51)
+        code = init.encoder(imgs, mode)
+        want = self.composed_decoder(init.decoder, code, mode).data
+
+        def no_unpool(*args, **kwargs):
+            raise AssertionError("the decoder built an unpooled tensor")
+
+        monkeypatch.setattr(nn, "unpool", no_unpool)
+        np.testing.assert_allclose(init.decoder(code, mode).data, want, rtol=0, atol=1e-12)
+        r0 = init.forward_raw(imgs, mode)
+        s_r, _ = refine.run_refinement(imgs, r0, n=3, mode=mode)
+        assert np.all(np.isfinite(s_r.data))
 
 
 class TestFullPipelineGradient:

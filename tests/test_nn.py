@@ -3,7 +3,7 @@ import pytest
 
 from racdnn import nn
 from racdnn import tensor as T
-from racdnn.errors import BatchError, ShapeError
+from racdnn.errors import ArgumentError, BatchError, RacdnnError, ShapeError
 
 from gradcheck import check_grad
 
@@ -160,6 +160,99 @@ class TestUnpool:
     def test_invalid_factor(self):
         with pytest.raises(ShapeError):
             nn.unpool(T.zeros([1, 1, 2, 2]), 0)
+
+
+class TestUnpoolConv2d:
+    @staticmethod
+    def grads(op, x_data, w_data, b_data, pad):
+        """Output and gradients of sum_all(sigmoid(op(x, p))), a loss separable per image."""
+        x = T.Tensor(x_data, requires_grad=True)
+        p = conv_params(w_data, b_data, padding=pad)
+        with T.Graph():
+            out = op(x, p)
+            T.backward(T.sum_all(T.sigmoid(out)))
+        return out.data, x.grad, p.weights.grad, None if b_data is None else p.bias.grad
+
+    @staticmethod
+    def data(kernel, seed, b=3):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(b, 2, 4, 5)), rng.normal(size=(3, 2, kernel, kernel)) * 0.5,
+                rng.normal(size=(3,)))
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("k, kernel, pad",
+                             [(2, 5, 2), (2, 3, 1), (2, 1, 0), (3, 3, 0), (3, 5, 2), (2, 3, 2),
+                              (2, 1, 1)])
+    def test_matches_unpool_then_conv2d(self, k, kernel, pad, bias):
+        x_data, w_data, b_data = self.data(kernel, 20)
+        b_data = b_data if bias else None
+        fused = self.grads(lambda x, p: nn.unpool_conv2d(x, p, k), x_data, w_data, b_data, pad)
+        composed = self.grads(lambda x, p: nn.conv2d(nn.unpool(x, k), p), x_data, w_data, b_data, pad)
+        assert fused[0].shape == composed[0].shape
+        for got, want in zip(fused, composed):
+            if want is not None:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k, kernel, pad", [(2, 5, 2), (3, 3, 0)])
+    def test_gradients_match_finite_differences(self, k, kernel, pad):
+        x_data, w_data, b_data = self.data(kernel, 21)
+        _, d_x, d_w, d_b = self.grads(lambda x, p: nn.unpool_conv2d(x, p, k),
+                                      x_data, w_data, b_data, pad)
+
+        def loss(xd, wd, bd):
+            p = conv_params(wd, bd, padding=pad, grad=False)
+            return T.sum_all(T.sigmoid(nn.unpool_conv2d(T.Tensor(xd), p, k))).item()
+
+        check_grad(lambda xd: loss(xd, w_data, b_data), x_data, d_x, n_coords=30, tol=1e-4)
+        check_grad(lambda wd: loss(x_data, wd, b_data), w_data, d_w, n_coords=20, tol=1e-4)
+        check_grad(lambda bd: loss(x_data, w_data, bd), b_data, d_b, n_coords=3, tol=1e-4)
+
+    def test_batch_gradient_is_sum_of_single_image_gradients(self):
+        x_data, w_data, b_data = self.data(5, 22)
+        op = lambda x, p: nn.unpool_conv2d(x, p, 2)  # noqa: E731
+        _, d_x, d_w, d_b = self.grads(op, x_data, w_data, b_data, 2)
+        singles = [self.grads(op, x_data[i:i + 1], w_data, b_data, 2) for i in range(3)]
+        np.testing.assert_allclose(d_w, sum(g[2] for g in singles), rtol=1e-12)
+        np.testing.assert_allclose(d_b, sum(g[3] for g in singles), rtol=1e-12)
+        np.testing.assert_allclose(d_x, np.concatenate([g[1] for g in singles]), rtol=1e-12)
+
+    def test_channel_mismatch(self):
+        with pytest.raises(ShapeError):
+            nn.unpool_conv2d(T.zeros([1, 2, 4, 4]), conv_params(np.zeros((1, 3, 3, 3))), 2)
+
+
+def _conv_call(stride=1, padding=0):
+    return lambda: nn.conv2d(T.zeros([1, 1, 4, 4]), conv_params(np.zeros((1, 1, 3, 3)), None,
+                                                                  stride, padding))
+
+
+def _unpool_conv_call(k=2, stride=1, padding=0):
+    return lambda: nn.unpool_conv2d(T.zeros([1, 1, 4, 4]),
+                                    conv_params(np.zeros((1, 1, 3, 3)), None, stride, padding), k)
+
+
+BAD_ARGUMENTS = {
+    "conv2d.stride0": (_conv_call(stride=0), ArgumentError),
+    "conv2d.stride-1": (_conv_call(stride=-1), ArgumentError),
+    "conv2d.stride1.5": (_conv_call(stride=1.5), ArgumentError),
+    "conv2d.padding-1": (_conv_call(padding=-1), ArgumentError),
+    "unpool.factor1.5": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), 1.5), ShapeError),
+    "unpool.factor-1": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), -1), ShapeError),
+    "unpool_conv2d.stride0": (_unpool_conv_call(stride=0), ArgumentError),
+    "unpool_conv2d.stride-1": (_unpool_conv_call(stride=-1), ArgumentError),
+    "unpool_conv2d.stride2": (_unpool_conv_call(stride=2), ArgumentError),
+    "unpool_conv2d.padding-1": (_unpool_conv_call(padding=-1), ArgumentError),
+    "unpool_conv2d.factor0": (_unpool_conv_call(k=0), ShapeError),
+    "unpool_conv2d.factor1.5": (_unpool_conv_call(k=1.5), ShapeError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_arguments_raise_typed_errors(case):
+    call, error = BAD_ARGUMENTS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, RacdnnError)
 
 
 def bn_params(c, gamma=None, beta=None, rmean=None, rvar=None):
