@@ -63,7 +63,7 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 def _require_int(value, lowest: int, what: str, error=ArgumentError) -> None:
     """Reject `value` unless it is an integer >= `lowest`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lowest:
+    if not isinstance(value, (int, np.integer)) or value < lowest:
         raise error(f"{what} must be an integer >= {lowest}, got {value!r}")
 
 
