@@ -1,16 +1,16 @@
 """Neural network layers and losses on top of the autodiff tensors.
 
-Every layer takes batched input only: spatial layers take ``[B,C,H,W]``
-and vector layers take ``[B,n]``; a single image is a batch of one.
+Every layer takes batched input only: spatial layers, batchnorm included,
+take ``[B,C,H,W]`` and vector layers take ``[B,n]``; a single image is a
+batch of one. Infer-mode batchnorm is one per-channel scale and shift.
 Convolution is cross-correlation (no kernel flip). The decoder's block of
 unpool then stride-1 convolution is one op, :func:`unpool_conv2d`: a
 transposed convolution that never builds the unpooled zeros, equal to
 ``conv2d(unpool(x, k), p)``, which stays as its reference. A stride,
 padding or unpool factor that is not an integer in range raises a typed
-:class:`~racdnn.errors.RacdnnError`. Binary cross-entropy
-exists in two forms: a probability-space version with clamping, and a
-logit-space version that stays finite for logits far outside the
-sigmoid's useful range.
+:class:`~racdnn.errors.RacdnnError`. Binary cross-entropy exists in two
+forms: a probability-space version with clamping, and a logit-space
+version that stays finite for logits far outside the sigmoid's useful range.
 """
 
 from __future__ import annotations
@@ -187,55 +187,57 @@ def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
 
 
 def batchnorm(x: Tensor, p: BatchNormParams, mode: str = "train") -> Tensor:
-    """Per-channel normalization: batch statistics in train mode (updating
-    the running averages), running statistics in infer mode."""
+    """Per-channel normalization of [B,C,H,W]. Train mode normalizes with
+    the batch statistics and updates the running averages; infer mode is
+    one per-channel scale and shift folded from the running statistics."""
     if mode not in ("train", "infer"):
         raise ShapeError(f"unknown batchnorm mode {mode!r}")
-    data = x.data
-    if data.ndim not in (2, 4):
-        raise ShapeError(f"batchnorm expects [B,C] or [B,C,H,W], got {x.shape}")
+    data = _check_4d(x, "batchnorm")
     c = data.shape[1]
     if p.gamma.shape != (c,):
         raise ShapeError(f"gamma has shape {p.gamma.shape}, input has {c} channels")
-    axes = (0,) if data.ndim == 2 else (0, 2, 3)
-    bshape = (1, c) if data.ndim == 2 else (1, c, 1, 1)
-    gamma = p.gamma.data.reshape(bshape)
-    beta = p.beta.data.reshape(bshape)
+    axes = (0, 2, 3)
+    n = data.size // c
+    gamma = p.gamma.data[:, None, None]
+    beta = p.beta.data[:, None, None]
 
     if mode == "train":
         if data.shape[0] < 2:
             raise BatchError("train-mode batchnorm needs batch size >= 2")
-        mean = data.mean(axis=axes, keepdims=True)
-        var = data.var(axis=axes, keepdims=True)
-        istd = 1.0 / np.sqrt(var + BN_EPSILON)
-        xhat = (data - mean) * istd
-        m = BN_MOMENTUM
-        p.running_mean.data = m * p.running_mean.data + (1 - m) * mean.reshape(c)
-        p.running_var.data = m * p.running_var.data + (1 - m) * var.reshape(c)
-        n = data.size // c
+        mean = data.mean(axis=axes)
+        xhat = data - mean[:, None, None]
+        var = (xhat * xhat).sum(axis=axes) / n     # data.var, from the centred input
+        istd = 1.0 / np.sqrt(var[:, None, None] + BN_EPSILON)
+        xhat *= istd
+        p.running_mean.data = BN_MOMENTUM * p.running_mean.data + (1 - BN_MOMENTUM) * mean
+        p.running_var.data = BN_MOMENTUM * p.running_var.data + (1 - BN_MOMENTUM) * var
+        out = xhat * gamma
+        out += beta
 
         def bwd(og):
             d_gamma = (og * xhat).sum(axis=axes)
             d_beta = og.sum(axis=axes)
-            d_xhat = og * gamma
-            d_x = istd * (
-                d_xhat
-                - d_xhat.mean(axis=axes, keepdims=True)
-                - xhat * (d_xhat * xhat).sum(axis=axes, keepdims=True) / n
-            )
+            # gamma is per channel, so it comes out of both mean terms:
+            # d_x = (og - d_beta/n - xhat*d_gamma/n) * gamma*istd
+            d_x = xhat * (-d_gamma / n)[:, None, None]
+            d_x += og
+            d_x -= (d_beta / n)[:, None, None]
+            d_x *= gamma * istd
             return d_x, d_gamma, d_beta
 
     else:
-        rmean = p.running_mean.data.reshape(bshape)
-        istd = 1.0 / np.sqrt(p.running_var.data.reshape(bshape) + BN_EPSILON)
-        xhat = (data - rmean) * istd
+        rmean = p.running_mean.data[:, None, None]
+        istd = 1.0 / np.sqrt(p.running_var.data[:, None, None] + BN_EPSILON)
+        scale = gamma * istd
+        out = data * scale
+        out += beta - rmean * scale
 
         def bwd(og):
-            d_gamma = (og * xhat).sum(axis=axes)
-            d_beta = og.sum(axis=axes)
-            return og * gamma * istd, d_gamma, d_beta
+            xhat = data - rmean
+            xhat *= istd
+            xhat *= og
+            return og * scale, xhat.sum(axis=axes), og.sum(axis=axes)
 
-    out = gamma * xhat + beta
     return record(out, [x, p.gamma, p.beta], bwd)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from racdnn import attention as at
 from racdnn import tensor as T
-from racdnn.errors import ScaleError, ShapeError
+from racdnn.errors import NumericError, ScaleError, ShapeError
 
 import grid_oracle as oracle
 from gradcheck import check_grad
@@ -187,6 +187,30 @@ class TestBilinearSample:
         check_grad(lambda sd: loss(sd, grid_data), src_data, src.grad,
                    coords=list(np.ndindex(src_data.shape)), tol=1e-3)
         check_grad(lambda gd: loss(src_data, gd), grid_data, grid.grad, n_coords=40, tol=1e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_raises(self, bad):
+        grid = np.zeros((1, 2, 2, 2))
+        grid[0, 1, 0, 1] = bad
+        with pytest.raises(NumericError):
+            at.bilinear_sample(T.Tensor(np.ones((1, 1, 3, 3))), grid)
+
+    def test_far_out_samples_read_zero_and_send_no_gradient(self):
+        # row 0 samples inside the source; row 1 at +-1e300, where casting
+        # floor(1e300) to int64 would overflow
+        rng = np.random.default_rng(23)
+        src = T.Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
+        far = [[1e300, 0.0], [-1e300, 0.3], [0.2, 1e300], [1e300, -1e300], [-1e300, -1e300]]
+        grid = T.Tensor(np.array([[rng.uniform(-1, 1, size=(5, 2)), far]]), requires_grad=True)
+        only_far = np.zeros((1, 2, 2, 5))
+        only_far[:, :, 1] = rng.normal(size=(2, 5))
+        with T.Graph():
+            out = at.bilinear_sample(src, grid)
+            T.backward(T.sum_all(T.mul(out, only_far)))
+        far_out = out.data[:, :, 1]
+        assert np.all(far_out == 0.0) and not np.any(np.signbit(far_out))
+        assert np.all(src.grad == 0.0)
+        assert np.all(grid.grad[:, 1] == 0.0)
 
     @pytest.mark.parametrize("kept", [0, 1])
     def test_batched_source_gradient_stays_in_its_image(self, kept):

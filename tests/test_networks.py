@@ -25,6 +25,8 @@ def rand_images(p, b=2, seed=1):
 UNBATCHED = {
     "conv2d": lambda: nn.conv2d(T.zeros([3, 5, 5]), nn.Conv2dParams(T.zeros([1, 3, 1, 1]), None)),
     "unpool": lambda: nn.unpool(T.zeros([1, 2, 2]), 2),
+    "batchnorm": lambda: nn.batchnorm(T.zeros([2, 3]), nn.BatchNormParams(
+        T.full([3], 1.0), T.zeros([3]), T.zeros([3]), T.full([3], 1.0)), "infer"),
     "unpool_conv2d": lambda: nn.unpool_conv2d(T.zeros([1, 2, 2]),
                                               nn.Conv2dParams(T.zeros([1, 1, 1, 1]), None), 2),
     "linear": lambda: nn.linear(T.zeros([2]), nn.LinearParams(T.zeros([1, 2]), None)),

@@ -326,6 +326,79 @@ class TestBatchNorm:
         check_grad(lambda bd: loss_from(x_data, gamma, bd), beta, p.beta.grad, n_coords=2, tol=1e-4)
 
 
+def reference_batchnorm(x, gamma, beta, rmean, rvar, mode, og):
+    """Batchnorm of [B,C,H,W] by the textbook formulas: the output
+    gamma*x-hat + beta, the running statistics after the call, and the
+    gradients of sum(og * output) in x, gamma and beta."""
+    axes, shape = (0, 2, 3), (1, -1, 1, 1)
+    g = gamma.reshape(shape)
+    if mode == "train":
+        mean = x.mean(axis=axes, keepdims=True)
+        var = x.var(axis=axes, keepdims=True)
+        rmean = nn.BN_MOMENTUM * rmean + (1 - nn.BN_MOMENTUM) * mean.reshape(-1)
+        rvar = nn.BN_MOMENTUM * rvar + (1 - nn.BN_MOMENTUM) * var.reshape(-1)
+    else:
+        mean, var = rmean.reshape(shape), rvar.reshape(shape)
+    istd = 1.0 / np.sqrt(var + nn.BN_EPSILON)
+    xhat = (x - mean) * istd
+    out = g * xhat + beta.reshape(shape)
+    d_gamma = (og * xhat).sum(axis=axes)
+    d_beta = og.sum(axis=axes)
+    d_xhat = og * g
+    if mode == "train":
+        n = x.size // x.shape[1]
+        d_x = istd * (d_xhat - d_xhat.mean(axis=axes, keepdims=True)
+                      - xhat * (d_xhat * xhat).sum(axis=axes, keepdims=True) / n)
+    else:
+        d_x = d_xhat * istd
+    return out, rmean, rvar, d_x, d_gamma, d_beta
+
+
+class TestBatchNormReference:
+    """Batchnorm against the textbook formulas and finite differences."""
+
+    @staticmethod
+    def case(seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(1.5, 2.0, size=(3, 4, 5, 6))
+        stats = dict(gamma=rng.uniform(0.5, 1.5, 4), beta=rng.normal(size=4),
+                     rmean=rng.normal(size=4), rvar=rng.uniform(0.3, 3.0, 4))
+        return x, stats, rng.normal(size=x.shape)
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_matches_reference_formulas(self, mode):
+        x_data, stats, og = self.case(31)
+        ref = reference_batchnorm(x_data, *stats.values(), mode, og)
+
+        p = bn_params(4, **stats)
+        x = T.Tensor(x_data, requires_grad=True)
+        with T.Graph():
+            out = nn.batchnorm(x, p, mode)
+            T.backward(T.sum_all(T.mul(out, og)))
+        got = (out.data, p.running_mean.data, p.running_var.data, x.grad, p.gamma.grad, p.beta.grad)
+        for name, a, b in zip("out rmean rvar d_x d_gamma d_beta".split(), got, ref):
+            assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max(), name
+
+    def test_infer_gradients_match_finite_differences(self):
+        x_data, stats, _ = self.case(32)
+        gamma, beta = stats["gamma"], stats["beta"]
+
+        def loss_from(xd, gd, bd):
+            p = bn_params(4, gd, bd, stats["rmean"], stats["rvar"])
+            return T.sum_all(T.sigmoid(nn.batchnorm(T.Tensor(xd), p, "infer"))).item()
+
+        p = bn_params(4, **stats)
+        x = T.Tensor(x_data, requires_grad=True)
+        with T.Graph():
+            T.backward(T.sum_all(T.sigmoid(nn.batchnorm(x, p, "infer"))))
+
+        check_grad(lambda xd: loss_from(xd, gamma, beta), x_data, x.grad, n_coords=15, tol=1e-4)
+        check_grad(lambda gd: loss_from(x_data, gd, beta), gamma, p.gamma.grad,
+                   coords=list(np.ndindex(4)), tol=1e-4)
+        check_grad(lambda bd: loss_from(x_data, gamma, bd), beta, p.beta.grad,
+                   coords=list(np.ndindex(4)), tol=1e-4)
+
+
 class TestLinear:
     def test_identity(self):
         x = T.Tensor([[1.0, -2.0, 3.0]])
