@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import NumericError, ScaleError, ShapeError
-from .tensor import Tensor, record, _sigmoid
+from .tensor import Tensor, needs_grad, record, _sigmoid
 
 SCALE_MIN = 0.2
 SCALE_MAX = 1.0
@@ -99,7 +99,10 @@ def bilinear_sample(source: Tensor, grid: Union[Tensor, np.ndarray]) -> Tensor:
     inside a one-pixel ring of zeros: an out-of-bounds neighbour reads an
     exact +0.0 and sends its gradient to the ring, which is cropped away.
     Differentiable in the source and (for a tracked grid) in the grid
-    coordinates. A non-finite grid raises :class:`~racdnn.errors.NumericError`.
+    coordinates. The tape keeps the corner indices and weights [B,4,n]
+    only for a tracked source, and the interpolant's two slope planes
+    [B,C,n] only for a tracked grid. A non-finite grid raises
+    :class:`~racdnn.errors.NumericError`.
     """
     grid_t = grid if isinstance(grid, Tensor) else Tensor(grid)
     if source.ndim != 4:
@@ -125,21 +128,29 @@ def bilinear_sample(source: Tensor, grid: Union[Tensor, np.ndarray]) -> Tensor:
         np.take(ringed[i], idx[i], axis=1, out=vals[i])
     out = np.einsum("bckn,bkn->bcn", vals, wgt).reshape(b, c, ho, wo)
 
+    corners = (idx, wgt) if needs_grad(source) else None
+    slopes = None
+    if needs_grad(grid_t):
+        # d/d(px), d/d(py): the interpolant's horizontal and vertical slopes
+        v00, v10, v01, v11 = (vals[:, :, k] for k in range(4))
+        slopes = ((1 - fy) * (v10 - v00) + fy * (v11 - v01),
+                  (1 - fx) * (v01 - v00) + fx * (v11 - v10))
+
     def bwd(og):
         og4 = og.reshape(b, c, 1, n_out)
-        # one scatter of all four corners over flat (image*C + channel) *
-        # ringed size + ringed pixel, then the ring is cropped
-        flat = np.arange(b * c).reshape(b, c, 1, 1) * n_ring + idx[:, None]
-        d_src = np.bincount(flat.ravel(), (og4 * wgt[:, None]).ravel(), minlength=b * c * n_ring)
-        d_src = d_src.reshape(b, c, h + 2, w + 2)[:, :, 1:-1, 1:-1]
-
-        # d/d(px): horizontal slope of the interpolant at each sample
-        v00, v10, v01, v11 = (vals[:, :, k] for k in range(4))
-        dpx = (1 - fy) * (v10 - v00) + fy * (v11 - v01)
-        dpy = (1 - fx) * (v01 - v00) + fx * (v11 - v10)
-        d_gx = (og4[:, :, 0] * dpx).sum(axis=1) * (0.5 * (w - 1))
-        d_gy = (og4[:, :, 0] * dpy).sum(axis=1) * (0.5 * (h - 1))
-        d_grid = np.stack([d_gx.reshape(b, ho, wo), d_gy.reshape(b, ho, wo)], axis=-1)
+        d_src = d_grid = None
+        if corners is not None:
+            idx, wgt = corners
+            # one scatter of all four corners over flat (image*C + channel) *
+            # ringed size + ringed pixel, then the ring is cropped
+            flat = np.arange(b * c).reshape(b, c, 1, 1) * n_ring + idx[:, None]
+            d_src = np.bincount(flat.ravel(), (og4 * wgt[:, None]).ravel(), minlength=b * c * n_ring)
+            d_src = d_src.reshape(b, c, h + 2, w + 2)[:, :, 1:-1, 1:-1]
+        if slopes is not None:
+            dpx, dpy = slopes
+            d_gx = (og4[:, :, 0] * dpx).sum(axis=1) * (0.5 * (w - 1))
+            d_gy = (og4[:, :, 0] * dpy).sum(axis=1) * (0.5 * (h - 1))
+            d_grid = np.stack([d_gx.reshape(b, ho, wo), d_gy.reshape(b, ho, wo)], axis=-1)
         return d_src, d_grid
 
     return record(out, [source, grid_t], bwd)

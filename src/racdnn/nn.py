@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, BatchError, ShapeError
-from .tensor import Tensor, record, _sigmoid
+from .tensor import Tensor, needs_grad, record, _sigmoid
 
 BCE_EPS = 1e-7
 # batchnorm: weight of the old running statistic, and the variance floor
@@ -67,6 +67,19 @@ def _require_int(value, lowest: int, what: str, error=ArgumentError) -> None:
         raise error(f"{what} must be an integer >= {lowest}, got {value!r}")
 
 
+def _im2col(x: np.ndarray, kh: int, kw: int, s: int, off: int, out_hw: tuple) -> np.ndarray:
+    """Columns [B, C*kh*kw, h*w] of the kh x kw windows of `x` [B,C,H,W]
+    whose top-left corners sit at row ``off + s*y`` and column ``off + s*x``
+    for (y, x) on the `out_hw` lattice: im2col at stride `s`, the gather
+    that :func:`_scatter_taps` undoes. A read-only view of `x` when no copy
+    is needed (1x1 windows at stride 1), a fresh array otherwise."""
+    b, c = x.shape[:2]
+    h, w = out_hw
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, off:off + s * h:s, off:off + s * w:s]   # [B,C,h,w,kh,kw]
+    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h * w)
+
+
 def _scatter_taps(taps: np.ndarray, s: int, off: int, hw: tuple) -> np.ndarray:
     """Zero canvas [B,C,*hw] plus every tap plane ``taps[:, :, i, j]`` of a
     [B,C,kh,kw,h,w] array, the one at (y, x) landing at row ``off + i + s*y``
@@ -80,7 +93,13 @@ def _scatter_taps(taps: np.ndarray, s: int, off: int, hw: tuple) -> np.ndarray:
 
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """Strided cross-correlation with symmetric zero padding."""
+    """Strided cross-correlation with symmetric zero padding.
+
+    The tape keeps the padded input, not its im2col columns, which are up
+    to kh*kw times larger: backward rebuilds the columns for the weight
+    gradient, then reuses that buffer for the input gradient's columns. An
+    untracked input gets no gradient.
+    """
     data = _check_4d(x, "conv2d")
     _require_int(p.stride, 1, "conv2d stride")
     _require_int(p.padding, 0, "conv2d padding")
@@ -95,23 +114,25 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h}x{w} (pad {pad})")
 
     padded = np.pad(data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else data
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::s, ::s]                       # [B,C,ho,wo,kh,kw]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c_in * kh * kw, ho * wo)
     w2 = p.weights.data.reshape(c_out, c_in * kh * kw)
-    out = np.matmul(w2, cols).reshape(b, c_out, ho, wo)
+    out = np.matmul(w2, _im2col(padded, kh, kw, s, 0, (ho, wo))).reshape(b, c_out, ho, wo)
     if p.bias is not None:
         out += p.bias.data[None, :, None, None]
 
     hp, wp = padded.shape[2], padded.shape[3]
+    track_x = needs_grad(x)
 
     def bwd(og):
         og4 = og.reshape(b, c_out, ho * wo)
+        cols = _im2col(padded, kh, kw, s, 0, (ho, wo))
         # batched matmul, not einsum: this einsum does not reach BLAS and measured 15x slower
         d_w = np.matmul(og4, cols.transpose(0, 2, 1)).sum(axis=0).reshape(p.weights.shape)
         d_b = og4.sum(axis=(0, 2)) if p.bias is not None else None
-        d_cols = np.matmul(w2.T, og4).reshape(b, c_in, kh, kw, ho, wo)
-        d_padded = _scatter_taps(d_cols, s, 0, (hp, wp))
+        if not track_x:
+            return None, d_w, d_b
+        # for 1x1 kernels at stride 1 the columns are a read-only view of the input
+        d_cols = np.matmul(w2.T, og4, out=cols if cols.flags.writeable else None)
+        d_padded = _scatter_taps(d_cols.reshape(b, c_in, kh, kw, ho, wo), s, 0, (hp, wp))
         d_x = d_padded[:, :, pad:hp - pad, pad:wp - pad] if pad else d_padded
         return d_x, d_w, d_b
 
@@ -174,9 +195,7 @@ def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
     def bwd(og):
         og_canvas = np.zeros((b, c_out, hc, wc))
         og_canvas[:, :, start:start + ho, start:start + wo] = og
-        windows = np.lib.stride_tricks.sliding_window_view(og_canvas, (kh, kw), axis=(2, 3))
-        windows = windows[:, :, off:off + k * h:k, off:off + k * w:k]   # [B,C_out,h,w,kh,kw]
-        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c_out * kh * kw, h * w)
+        cols = _im2col(og_canvas, kh, kw, k, off, (h, w))
         d_x = np.matmul(a.T, cols).reshape(data.shape)
         d_a = np.matmul(cols, x3.transpose(0, 2, 1)).sum(axis=0)
         d_w = d_a.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]

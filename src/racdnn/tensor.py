@@ -7,6 +7,14 @@ gradients. The tape is appended in execution order, so it is already
 topologically sorted; :func:`backward` walks it once in reverse and
 accumulates gradients into the ``grad`` slot of every reachable leaf.
 
+Ops follow one rule: a closure keeps only what its gradients read, and it
+computes no gradient for an input that :func:`needs_grad` reports
+untracked, returning None in that slot, which backward skips. So the tape
+holds nothing that backward would throw away. Ops with one input meet the
+second half for free, because an op with no tracked input records nothing.
+``nn.conv2d`` checks its input and ``attention.bilinear_sample`` its source
+and its grid, because an image or a fixed grid is often untracked there.
+
 Forward values are identical whether or not a graph is active; recording
 only adds bookkeeping.
 """
@@ -106,12 +114,22 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+def needs_grad(t) -> bool:
+    """True when a graph is active and `t` is a tensor tracked on it: the
+    test :meth:`Graph._leaf_id` applies, without registering a leaf."""
+    g = _active_graph()
+    return g is not None and isinstance(t, Tensor) and (
+        t.requires_grad or (t._node is not None and t._node[0] is g))
+
+
 def record(out_data: np.ndarray, inputs: Sequence[Tensor],
            backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
     """Wrap `out_data` in a Tensor, appending a tape node if recording.
 
     `backward_fn` receives the output gradient and returns one gradient
-    per entry of `inputs` (None for inputs that need none).
+    per entry of `inputs`, None for an input that :func:`needs_grad`
+    reported untracked when the op ran. It should close over only what
+    those gradients read: the tape keeps it alive until backward.
     """
     out = Tensor(out_data)
     g = _active_graph()
@@ -249,7 +267,7 @@ def mul(a: Tensor, b) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0.0)
-    mask = a.data > 0.0
+    mask = a.data > 0.0 if needs_grad(a) else None
 
     def bwd(og):
         return (og * mask,)

@@ -9,6 +9,7 @@ from racdnn.errors import NumericError, ScaleError, ShapeError
 
 import grid_oracle as oracle
 from gradcheck import check_grad
+from memory import SLACK, traced_bytes
 
 
 def grid_of(p, h, w, inverse=False):
@@ -233,6 +234,54 @@ class TestBilinearSample:
             T.backward(T.sum_all(T.mul(out, out)))
         np.testing.assert_allclose(src.grad[kept:kept + 1], alone.grad, rtol=1e-12)
         assert np.all(np.any(alone.grad != 0.0, axis=(2, 3)))
+
+    @staticmethod
+    def square_sum_grads(src_data, grid_data, track_src, grid_is_tensor=True):
+        """Source and grid gradients of sum(bilinear_sample**2)."""
+        src = T.Tensor(src_data, requires_grad=track_src)
+        grid = T.Tensor(grid_data, requires_grad=True) if grid_is_tensor else grid_data
+        with T.Graph():
+            out = at.bilinear_sample(src, grid)
+            T.backward(T.sum_all(T.mul(out, out)))
+        return src.grad, grid.grad if grid_is_tensor else None
+
+    def test_untracked_source_gets_no_gradient(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        src_data = rng.normal(size=(2, 3, 6, 6))
+        grid_data = self.zoomed_grid(rng, 2, 6, 6, 5)
+        _, d_grid = self.square_sum_grads(src_data, grid_data, track_src=True)
+
+        def no_scatter(*args, **kwargs):
+            raise AssertionError("bilinear_sample scattered a gradient that nothing takes")
+
+        monkeypatch.setattr(np, "bincount", no_scatter)
+        d_src, d_grid_alone = self.square_sum_grads(src_data, grid_data, track_src=False)
+        assert d_src is None
+        assert np.array_equal(d_grid_alone, d_grid)
+
+    def test_fixed_grid_gives_the_same_source_gradient(self):
+        rng = np.random.default_rng(25)
+        src_data = rng.normal(size=(2, 3, 6, 6))
+        grid_data = self.zoomed_grid(rng, 2, 6, 6, 5)
+        d_src, _ = self.square_sum_grads(src_data, grid_data, track_src=True)
+        d_src_alone, _ = self.square_sum_grads(src_data, grid_data, True, grid_is_tensor=False)
+        assert np.array_equal(d_src_alone, d_src)
+
+    @pytest.mark.parametrize("tracked", ["grid", "source"])
+    def test_tape_keeps_only_what_backward_reads(self, tracked):
+        # "grid": an attention glimpse, a fixed image sampled at a tracked window
+        rng = np.random.default_rng(26)
+        b, c, n = 2, 3, 16
+        src = T.Tensor(rng.normal(size=(b, c, 20, 20)), requires_grad=tracked == "source")
+        params = T.Tensor([[0.5, 0.1, -0.2], [0.8, 0.0, 0.1]], requires_grad=True)
+        with T.Graph():
+            grid = at.affine_grid(params, n, n)
+            grid = grid if tracked == "grid" else grid.data
+            out, kept, _ = traced_bytes(lambda: at.bilinear_sample(src, grid))
+        slope_planes = 2 * b * c * n * n * 8        # two [B,C,n] float64
+        corners = 2 * b * 4 * n * n * 8             # [B,4,n] int64 indices and float64 weights
+        saved = slope_planes if tracked == "grid" else corners
+        assert kept <= saved + out.data.nbytes + SLACK
 
 
 class TestSpatialTransformer:

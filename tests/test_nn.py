@@ -6,6 +6,7 @@ from racdnn import tensor as T
 from racdnn.errors import ArgumentError, BatchError, ShapeError
 
 from gradcheck import check_grad
+from memory import SLACK, traced_bytes
 
 
 def conv_params(w, b=None, stride=1, padding=0, grad=True):
@@ -117,6 +118,36 @@ class TestConv2d:
         np.testing.assert_allclose(d_w, sum(g[1] for g in singles), rtol=1e-12)
         np.testing.assert_allclose(d_b, sum(g[2] for g in singles), rtol=1e-12)
         np.testing.assert_allclose(d_x, np.concatenate([g[0] for g in singles]), rtol=1e-12)
+
+    @pytest.mark.parametrize("k, stride, pad", [(1, 1, 0), (3, 2, 1), (5, 1, 2)])
+    def test_untracked_input_gets_no_gradient(self, k, stride, pad, monkeypatch):
+        rng = np.random.default_rng(13)
+        x_data = rng.normal(size=(3, 2, 7, 7))
+        w_data = rng.normal(size=(3, 2, k, k)) * 0.5
+        b_data = rng.normal(size=(3,))
+        _, d_w, d_b = self.sigmoid_sum_grads(x_data, w_data, b_data, stride, pad)
+
+        def no_scatter(*args):
+            raise AssertionError("conv2d built an input gradient that nothing takes")
+
+        monkeypatch.setattr(nn, "_scatter_taps", no_scatter)
+        x = T.Tensor(x_data)
+        p = conv_params(w_data, b_data, stride, pad)
+        with T.Graph():
+            T.backward(T.sum_all(T.sigmoid(nn.conv2d(x, p))))
+        assert x.grad is None
+        assert np.array_equal(p.weights.grad, d_w)
+        assert np.array_equal(p.bias.grad, d_b)
+
+    def test_tape_keeps_the_padded_input_not_the_columns(self):
+        rng = np.random.default_rng(14)
+        x = T.Tensor(rng.normal(size=(2, 4, 16, 16)), requires_grad=True)
+        p = conv_params(rng.normal(size=(4, 4, 3, 3)), rng.normal(size=(4,)), padding=1)
+        with T.Graph():
+            out, kept, _ = traced_bytes(lambda: nn.conv2d(x, p))
+        padded = 2 * 4 * 18 * 18 * 8           # [2,4,18,18] float64
+        columns = 2 * 4 * 9 * 16 * 16 * 8      # [2,4*3*3,16*16]
+        assert kept <= padded + out.data.nbytes + SLACK < columns
 
     def test_uncovered_input_gets_zero_gradient(self):
         # h=8, k=3, stride 2, no padding: windows start at rows 0, 2, 4 and

@@ -7,6 +7,7 @@ from racdnn import tensor as T
 from racdnn.errors import ArgumentError, GraphError, ShapeError
 
 from gradcheck import check_grad
+from memory import traced_bytes
 
 
 class TestCreate:
@@ -37,6 +38,11 @@ class TestElementwise:
     def test_relu(self):
         out = T.relu(T.Tensor([-2.0, 3.0]))
         assert out.data.tolist() == [0.0, 3.0]
+
+    def test_relu_of_untracked_input_builds_no_mask(self):
+        x = T.Tensor(np.random.default_rng(0).normal(size=(256, 256)))
+        out, _, peak = traced_bytes(lambda: T.relu(x))
+        assert peak < out.data.nbytes + x.size // 2    # a bool mask takes x.size bytes
 
     def test_sigmoid_at_zero(self):
         assert T.sigmoid(T.Tensor([0.0])).data.tolist() == [0.5]
@@ -169,6 +175,20 @@ class TestBackward:
             y = T.mul(x, 2.0)
             T.backward(T.sum_all(T.add(y, y)))
         assert x.grad.tolist() == [4.0]
+
+    def test_needs_grad_follows_the_active_graph(self):
+        leaf = T.Tensor([1.0], requires_grad=True)
+        const = T.Tensor([1.0])
+        assert not T.needs_grad(leaf)
+        with T.Graph() as g:
+            y = T.mul(leaf, 2.0)
+            assert T.needs_grad(leaf) and T.needs_grad(y)
+            assert not T.needs_grad(const) and not T.needs_grad(T.mul(const, 2.0))
+            assert not T.needs_grad(None) and not T.needs_grad(np.ones(1))
+            assert len(g) == 2    # the leaf and the mul; the check registers nothing
+        with T.Graph():
+            assert T.needs_grad(leaf)
+            assert not T.needs_grad(y)    # tracked on another graph
 
     def test_non_scalar_loss_rejected(self):
         x = T.Tensor([1.0, 2.0], requires_grad=True)
