@@ -7,13 +7,14 @@ gradients. The tape is appended in execution order, so it is already
 topologically sorted; :func:`backward` walks it once in reverse and
 accumulates gradients into the ``grad`` slot of every reachable leaf.
 
-Ops follow one rule: a closure keeps only what its gradients read, and it
-computes no gradient for an input that :func:`needs_grad` reports
-untracked, returning None in that slot, which backward skips. So the tape
-holds nothing that backward would throw away. Ops with one input meet the
-second half for free, because an op with no tracked input records nothing.
+Ops follow one rule: a closure keeps only what its gradients read, and an
+op computes no gradient for an input that :func:`needs_grad` reports
+untracked, returning None in that slot. An op with one input meets the
+second half for free, because with no tracked input it records nothing.
 ``nn.conv2d`` checks its input and ``attention.bilinear_sample`` its source
-and its grid, because an image or a fixed grid is often untracked there.
+and its grid, because an image or a fixed grid is often untracked there;
+the other ops with several inputs pass the output gradient through, or
+see only tracked inputs in the networks.
 
 Forward values are identical whether or not a graph is active; recording
 only adds bookkeeping.
@@ -127,9 +128,10 @@ def record(out_data: np.ndarray, inputs: Sequence[Tensor],
     """Wrap `out_data` in a Tensor, appending a tape node if recording.
 
     `backward_fn` receives the output gradient and returns one gradient
-    per entry of `inputs`, None for an input that :func:`needs_grad`
-    reported untracked when the op ran. It should close over only what
-    those gradients read: the tape keeps it alive until backward.
+    per entry of `inputs`. For an input that :func:`needs_grad` reported
+    untracked when the op ran, it should return None rather than compute
+    one. It should close over only what its gradients read, because the
+    tape keeps it alive until backward.
     """
     out = Tensor(out_data)
     g = _active_graph()
