@@ -3,7 +3,7 @@ recurrent attentional refinement stage, on a self-contained numpy
 autodiff tape.
 
 Submodules are imported explicitly: ``racdnn.tensor`` (the tape),
-``racdnn.nn`` (layers and losses), ``racdnn.attention`` (spatial
+``racdnn.nn`` (layers and the loss), ``racdnn.attention`` (spatial
 transformer windows) and ``racdnn.networks`` (the two networks and their
 presets).
 """

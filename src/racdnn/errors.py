@@ -29,13 +29,5 @@ class BatchError(RacdnnError):
     """Batch too small for the requested normalization mode."""
 
 
-class GroundtruthError(RacdnnError):
-    """Groundtruth mask is not strictly binary."""
-
-
-class SpecError(RacdnnError):
-    """Degenerate dataset specification."""
-
-
 class NumericError(RacdnnError):
     """A NaN or Inf turned up where only finite values are allowed."""

@@ -34,20 +34,42 @@ DEFAULT_ITERATIONS = 9
 
 @dataclass(frozen=True)
 class Preset:
-    """Shape constants tying the encoder, decoder, and recurrent state
-    together: the first recurrent state shares the code's channel count and
-    spatial size so the decoder can consume either."""
+    """Shape constants of both networks. A preset gives the layer tables,
+    the input size and the widths of the fully-connected layers; the image
+    channels, the code's channels and side, and the map side are read-only
+    values derived from them, so they cannot disagree with the tables. The
+    first recurrent state shares the code's channel count and spatial size
+    so the decoder can consume either."""
 
     name: str
     input_size: int
     encoder: tuple          # (c_in, c_out, kernel, stride, pad) per layer
     decoder: tuple          # (c_in, c_mid, c_out) per block: unpool+5x5 conv, then 1x1 conv
-    code_channels: int
-    code_size: int
-    map_size: int
     state_dim: int
     loc_hidden: int
-    in_channels: int = 3
+
+    @property
+    def in_channels(self) -> int:
+        """The first encoder layer's input channels."""
+        return self.encoder[0][0]
+
+    @property
+    def code_channels(self) -> int:
+        """The last encoder layer's output channels."""
+        return self.encoder[-1][1]
+
+    @property
+    def code_size(self) -> int:
+        """Side of the code: `input_size` through every encoder layer."""
+        size = self.input_size
+        for _, _, kernel, stride, pad in self.encoder:
+            size = nn.conv_output_size(size, kernel, stride, pad)
+        return size
+
+    @property
+    def map_size(self) -> int:
+        """Side of the raw map: every decoder block doubles the code's side."""
+        return self.code_size * 2 ** len(self.decoder)
 
 
 _PRESETS = {
@@ -56,20 +78,17 @@ _PRESETS = {
         encoder=((3, 64, 5, 2, 2), (64, 128, 3, 2, 1), (128, 256, 3, 2, 1),
                  (256, 256, 3, 2, 1), (256, 256, 3, 2, 1)),
         decoder=((256, 128, 128), (128, 64, 64), (64, 32, 1)),
-        code_channels=256, code_size=7, map_size=56,
         state_dim=512, loc_hidden=256),
     "toy": Preset(
         name="toy", input_size=64,
         encoder=((3, 16, 5, 2, 2), (16, 24, 3, 2, 1), (24, 32, 3, 2, 1),
                  (32, 32, 3, 2, 1)),
         decoder=((32, 24, 24), (24, 16, 16), (16, 8, 1)),
-        code_channels=32, code_size=4, map_size=32,
         state_dim=64, loc_hidden=32),
     "tiny": Preset(
         name="tiny", input_size=16,
         encoder=((3, 8, 3, 2, 1), (8, 8, 3, 2, 1)),
         decoder=((8, 8, 8), (8, 4, 1)),
-        code_channels=8, code_size=4, map_size=16,
         state_dim=16, loc_hidden=8),
 }
 
@@ -95,8 +114,7 @@ class ConvLayer:
     def __init__(self, c_in, c_out, kernel, stride, pad, rng,
                  norm: bool = True, act: bool = True):
         self.conv = nn.Conv2dParams(
-            weights=T.he_normal([c_out, c_in, kernel, kernel],
-                                c_in * kernel * kernel, rng, requires_grad=True),
+            weights=T.he_normal([c_out, c_in, kernel, kernel], rng, requires_grad=True),
             bias=T.zeros([c_out], requires_grad=True),
             stride=stride, padding=pad)
         self.norm = _bn(c_out) if norm else None
@@ -113,15 +131,14 @@ class ConvLayer:
             x = T.relu(x)
         return x
 
-    def tensors(self, trainable_only: bool):
+    def tensors(self):
         yield "w", self.conv.weights
         yield "b", self.conv.bias
         if self.norm is not None:
             yield "gamma", self.norm.gamma
             yield "beta", self.norm.beta
-            if not trainable_only:
-                yield "rmean", self.norm.running_mean
-                yield "rvar", self.norm.running_var
+            yield "rmean", self.norm.running_mean
+            yield "rvar", self.norm.running_var
 
 
 class UnpoolConvLayer(ConvLayer):
@@ -143,9 +160,9 @@ class Stack:
             x = layer(x, mode)
         return x
 
-    def tensors(self, trainable_only: bool = True):
+    def tensors(self):
         for i, layer in enumerate(self.layers):
-            for key, t in layer.tensors(trainable_only):
+            for key, t in layer.tensors():
                 yield f"{i}.{key}", t
 
 
@@ -190,14 +207,16 @@ class InitialNet:
         r0 = self.forward_raw(images, mode)
         return r0, T.sigmoid(r0)
 
-    def tensors(self, trainable_only: bool = True):
-        for key, t in self.encoder.tensors(trainable_only):
+    def tensors(self):
+        """Every tensor by name, batchnorm running statistics included."""
+        for key, t in self.encoder.tensors():
             yield f"enc.{key}", t
-        for key, t in self.decoder.tensors(trainable_only):
+        for key, t in self.decoder.tensors():
             yield f"dec.{key}", t
 
     def parameters(self) -> dict[str, Tensor]:
-        return dict(self.tensors(trainable_only=True))
+        """The tensors that take a gradient."""
+        return {key: t for key, t in self.tensors() if t.requires_grad}
 
 
 @dataclass
@@ -229,22 +248,22 @@ class RefineNet:
         self.encoder = build_encoder(p, rng)
         self.decoder = build_decoder(p, rng)
         self.w1_i = nn.Conv2dParams(
-            T.he_normal([c, c, 3, 3], c * 9, rng, requires_grad=True),
+            T.he_normal([c, c, 3, 3], rng, requires_grad=True),
             bias=T.zeros([c], requires_grad=True), stride=1, padding=1)
         self.w1_r = nn.Conv2dParams(
-            T.he_normal([c, c, 3, 3], c * 9, rng, requires_grad=True),
+            T.he_normal([c, c, 3, 3], rng, requires_grad=True),
             bias=None, stride=1, padding=1)
         flat = c * s * s
         self.w2_i = nn.LinearParams(
-            T.he_normal([d, flat], flat, rng, requires_grad=True),
+            T.he_normal([d, flat], rng, requires_grad=True),
             bias=T.zeros([d], requires_grad=True))
         self.w2_r = nn.LinearParams(
-            T.he_normal([d, d], d, rng, requires_grad=True), bias=None)
+            T.he_normal([d, d], rng, requires_grad=True), bias=None)
         self.loc1 = nn.LinearParams(
-            T.he_normal([p.loc_hidden, d], d, rng, requires_grad=True),
+            T.he_normal([p.loc_hidden, d], rng, requires_grad=True),
             bias=T.zeros([p.loc_hidden], requires_grad=True))
         self.loc2 = nn.LinearParams(
-            T.he_normal([3, p.loc_hidden], p.loc_hidden, rng, requires_grad=True),
+            T.he_normal([3, p.loc_hidden], rng, requires_grad=True),
             bias=T.zeros([3], requires_grad=True))
 
     # -- one step of each recurrence ------------------------------------
@@ -295,8 +314,7 @@ class RefineNet:
         iteration attends, encodes, updates both recurrent states, and
         accumulates a refinement delta. Returns the final sigmoid map and
         the per-iteration trace."""
-        if n < 1:
-            raise ArgumentError("refinement needs n >= 1")
+        nn._require_int(n, 1, "refinement iterations n")
         x = _check_images(images, self.preset)
         b = x.shape[0]
         m = self.preset.map_size
@@ -325,8 +343,8 @@ class RefineNet:
 
     def load_decoder_from(self, other: InitialNet):
         """Adopt the trained initial decoder's weights (copied, not shared)."""
-        mine = dict(self.decoder.tensors(trainable_only=False))
-        theirs = dict(other.decoder.tensors(trainable_only=False))
+        mine = dict(self.decoder.tensors())
+        theirs = dict(other.decoder.tensors())
         if mine.keys() != theirs.keys():
             raise ShapeError("decoder architectures differ; cannot transfer weights")
         for key, t in mine.items():
@@ -334,12 +352,13 @@ class RefineNet:
                 raise ShapeError(f"decoder tensor {key} shape mismatch")
             t.data = theirs[key].data.copy()
 
-    def tensors(self, trainable_only: bool = True):
-        for key, t in self.context.tensors(trainable_only):
+    def tensors(self):
+        """Every tensor by name, batchnorm running statistics included."""
+        for key, t in self.context.tensors():
             yield f"ctx.{key}", t
-        for key, t in self.encoder.tensors(trainable_only):
+        for key, t in self.encoder.tensors():
             yield f"enc.{key}", t
-        for key, t in self.decoder.tensors(trainable_only):
+        for key, t in self.decoder.tensors():
             yield f"dec.{key}", t
         yield "rec1.wi", self.w1_i.weights
         yield "rec1.b", self.w1_i.bias
@@ -353,7 +372,8 @@ class RefineNet:
         yield "loc.b2", self.loc2.bias
 
     def parameters(self) -> dict[str, Tensor]:
-        return dict(self.tensors(trainable_only=True))
+        """The tensors that take a gradient."""
+        return {key: t for key, t in self.tensors() if t.requires_grad}
 
 
 def refinement_loss(r_final: Tensor, target) -> Tensor:

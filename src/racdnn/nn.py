@@ -1,4 +1,4 @@
-"""Neural network layers and losses on top of the autodiff tensors.
+"""Neural network layers and the loss on top of the autodiff tensors.
 
 Every layer takes batched input only: spatial layers, batchnorm included,
 take ``[B,C,H,W]`` and vector layers take ``[B,n]``; a single image is a
@@ -8,9 +8,9 @@ unpool then stride-1 convolution is one op, :func:`unpool_conv2d`: a
 transposed convolution that never builds the unpooled zeros, equal to
 ``conv2d(unpool(x, k), p)``, which stays as its reference. A stride,
 padding or unpool factor that is not an integer in range raises a typed
-:class:`~racdnn.errors.RacdnnError`. Binary cross-entropy exists in two
-forms: a probability-space version with clamping, and a logit-space
-version that stays finite for logits far outside the sigmoid's useful range.
+:class:`~racdnn.errors.RacdnnError`. The loss is one binary
+cross-entropy, :func:`bce_with_logits`, computed from raw logits, so it
+stays finite for logits far outside the sigmoid's useful range.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ArgumentError, BatchError, ShapeError
 from .tensor import Tensor, needs_grad, record, _sigmoid
 
-BCE_EPS = 1e-7
 # batchnorm: weight of the old running statistic, and the variance floor
 BN_MOMENTUM = 0.9
 BN_EPSILON = 1e-5
@@ -210,7 +209,7 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: str = "train") -> Tensor:
     the batch statistics and updates the running averages; infer mode is
     one per-channel scale and shift folded from the running statistics."""
     if mode not in ("train", "infer"):
-        raise ShapeError(f"unknown batchnorm mode {mode!r}")
+        raise ArgumentError(f"unknown batchnorm mode {mode!r}")
     data = _check_4d(x, "batchnorm")
     c = data.shape[1]
     if p.gamma.shape != (c,):
@@ -280,33 +279,12 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     return record(out, [x, p.weights, p.bias], bwd)
 
 
-def _check_same_shape(pred: Tensor, target) -> np.ndarray:
-    t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
-    if pred.shape != t.shape:
-        raise ShapeError(f"prediction {pred.shape} vs target {t.shape}")
-    return t
-
-
-def bce_loss(pred: Tensor, target) -> Tensor:
-    """Mean binary cross-entropy over all elements; pred is clamped to
-    [BCE_EPS, 1-BCE_EPS] and the clamp blocks gradient outside it."""
-    g = _check_same_shape(pred, target)
-    s = np.clip(pred.data, BCE_EPS, 1.0 - BCE_EPS)
-    loss = -(g * np.log(s) + (1.0 - g) * np.log1p(-s)).mean()
-    inside = (pred.data >= BCE_EPS) & (pred.data <= 1.0 - BCE_EPS)
-    n = pred.size
-
-    def bwd(og):
-        d = (s - g) / (s * (1.0 - s) * n)
-        return (og.reshape(-1)[0] * d * inside,)
-
-    return record(np.array([loss]), [pred], bwd)
-
-
 def bce_with_logits(logits: Tensor, target) -> Tensor:
-    """Numerically stable BCE computed from raw logits; finite for any
-    logit magnitude."""
-    g = _check_same_shape(logits, target)
+    """Mean binary cross-entropy of sigmoid(logits) against `target`,
+    computed from the raw logits; finite for any logit magnitude."""
+    g = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
+    if logits.shape != g.shape:
+        raise ShapeError(f"prediction {logits.shape} vs target {g.shape}")
     r = logits.data
     softplus_r = np.maximum(r, 0.0) + np.log1p(np.exp(-np.abs(r)))
     loss = (g * (softplus_r - r) + (1.0 - g) * softplus_r).mean()

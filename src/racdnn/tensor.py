@@ -22,14 +22,13 @@ only adds bookkeeping.
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, GraphError, NumericError, ShapeError
-
-Scalar = Union[int, float]
+from .errors import ArgumentError, GraphError, ShapeError
 
 _tls = threading.local()
 
@@ -179,17 +178,11 @@ def backward(loss: Tensor) -> None:
             node.tensor._node = None
 
 
-def zero_grads(params) -> None:
-    """Clear the grad slot of every tensor in an iterable or dict."""
-    values = params.values() if isinstance(params, dict) else params
-    for p in values:
+def zero_grads(params: dict) -> None:
+    """Clear the grad slot of every tensor in a name -> tensor dict, the
+    form a network's ``parameters()`` returns."""
+    for p in params.values():
         p.grad = None
-
-
-def assert_finite(t: Tensor, what: str = "tensor") -> Tensor:
-    if not np.all(np.isfinite(t.data)):
-        raise NumericError(f"non-finite values in {what}")
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -209,62 +202,32 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(_validate_shape(shape)), requires_grad)
 
 
-def full(shape, value: Scalar, requires_grad: bool = False) -> Tensor:
+def full(shape, value: float, requires_grad: bool = False) -> Tensor:
     return Tensor(np.full(_validate_shape(shape), float(value)), requires_grad)
 
 
-def he_normal(shape, fan_in: int, rng: np.random.Generator,
-              requires_grad: bool = False) -> Tensor:
-    """Normal(0, sqrt(2/fan_in)) initialization, suited to ReLU stacks."""
-    if fan_in < 1:
-        raise ArgumentError("fan_in must be >= 1")
-    std = np.sqrt(2.0 / float(fan_in))
-    return Tensor(rng.normal(0.0, std, size=_validate_shape(shape)), requires_grad)
+def he_normal(shape, rng: np.random.Generator, requires_grad: bool = False) -> Tensor:
+    """Normal(0, sqrt(2/fan_in)) initialization, suited to ReLU stacks. The
+    fan-in is derived from the shape: every axis after the first, so
+    ``c_in*k*k`` for a [c_out, c_in, k, k] kernel and ``n`` for [out, n]
+    linear weights."""
+    shape = _validate_shape(shape)
+    std = np.sqrt(2.0 / float(math.prod(shape[1:])))
+    return Tensor(rng.normal(0.0, std, size=shape), requires_grad)
 
 
 # ---------------------------------------------------------------------------
 # elementwise operations
 
 
-def _binary_data(a: Tensor, b) -> tuple[np.ndarray, bool]:
-    if isinstance(b, Tensor):
-        if a.shape != b.shape:
-            raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-        return b.data, True
-    return np.float64(b), False
-
-
-def add(a: Tensor, b) -> Tensor:
-    b_data, b_is_tensor = _binary_data(a, b)
-    inputs = [a, b] if b_is_tensor else [a]
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
 
     def bwd(og):
-        return (og, og) if b_is_tensor else (og,)
+        return og, og
 
-    return record(a.data + b_data, inputs, bwd)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    b_data, b_is_tensor = _binary_data(a, b)
-    inputs = [a, b] if b_is_tensor else [a]
-
-    def bwd(og):
-        return (og, -og) if b_is_tensor else (og,)
-
-    return record(a.data - b_data, inputs, bwd)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    b_data, b_is_tensor = _binary_data(a, b)
-    inputs = [a, b] if b_is_tensor else [a]
-    a_data = a.data
-
-    def bwd(og):
-        if b_is_tensor:
-            return og * b_data, og * a_data
-        return (og * b_data,)
-
-    return record(a_data * b_data, inputs, bwd)
+    return record(a.data + b.data, [a, b], bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -299,19 +262,6 @@ def sigmoid(a: Tensor) -> Tensor:
 # structural / reductions
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} vs {b.shape}")
-    a_data, b_data = a.data, b.data
-
-    def bwd(og):
-        return og @ b_data.T, a_data.T @ og
-
-    return record(a_data @ b_data, [a, b], bwd)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != a.size:
@@ -322,15 +272,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         return (og.reshape(in_shape),)
 
     return record(a.data.reshape(shape), [a], bwd)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    in_shape = a.shape
-
-    def bwd(og):
-        return (np.full(in_shape, og.reshape(-1)[0]),)
-
-    return record(np.array([a.data.sum()]), [a], bwd)
 
 
 def masked_add(base: Tensor, delta: Tensor, mask: np.ndarray) -> Tensor:

@@ -10,6 +10,7 @@ from racdnn.errors import NumericError, ScaleError, ShapeError
 import grid_oracle as oracle
 from gradcheck import check_grad
 from memory import SLACK, traced_bytes
+from ops import mul, sub, sum_all
 
 
 def grid_of(p, h, w, inverse=False):
@@ -145,7 +146,7 @@ class TestBilinearSample:
         grid = T.Tensor(grid_data, requires_grad=True)
         with T.Graph():
             out = at.bilinear_sample(src, grid)
-            T.backward(T.sum_all(T.mul(out, out)))
+            T.backward(sum_all(mul(out, out)))
 
         def loss_src(sd):
             o = at.bilinear_sample(T.Tensor(sd), grid_data)
@@ -180,7 +181,7 @@ class TestBilinearSample:
         grid = T.Tensor(grid_data, requires_grad=True)
         with T.Graph():
             out = at.bilinear_sample(src, grid)
-            T.backward(T.sum_all(T.mul(out, out)))
+            T.backward(sum_all(mul(out, out)))
 
         def loss(sd, gd):
             return float((at.bilinear_sample(T.Tensor(sd), gd).data ** 2).sum())
@@ -207,7 +208,7 @@ class TestBilinearSample:
         only_far[:, :, 1] = rng.normal(size=(2, 5))
         with T.Graph():
             out = at.bilinear_sample(src, grid)
-            T.backward(T.sum_all(T.mul(out, only_far)))
+            T.backward(sum_all(mul(out, only_far)))
         far_out = out.data[:, :, 1]
         assert np.all(far_out == 0.0) and not np.any(np.signbit(far_out))
         assert np.all(src.grad == 0.0)
@@ -225,13 +226,13 @@ class TestBilinearSample:
         src = T.Tensor(src_data, requires_grad=True)
         with T.Graph():
             out = at.bilinear_sample(src, grid_data)
-            T.backward(T.sum_all(T.mul(T.mul(out, out), only_kept)))
+            T.backward(sum_all(mul(mul(out, out), only_kept)))
         assert np.all(src.grad[1 - kept] == 0.0)
 
         alone = T.Tensor(src_data[kept:kept + 1], requires_grad=True)
         with T.Graph():
             out = at.bilinear_sample(alone, grid_data[kept:kept + 1])
-            T.backward(T.sum_all(T.mul(out, out)))
+            T.backward(sum_all(mul(out, out)))
         np.testing.assert_allclose(src.grad[kept:kept + 1], alone.grad, rtol=1e-12)
         assert np.all(np.any(alone.grad != 0.0, axis=(2, 3)))
 
@@ -242,7 +243,7 @@ class TestBilinearSample:
         grid = T.Tensor(grid_data, requires_grad=True) if grid_is_tensor else grid_data
         with T.Graph():
             out = at.bilinear_sample(src, grid)
-            T.backward(T.sum_all(T.mul(out, out)))
+            T.backward(sum_all(mul(out, out)))
         return src.grad, grid.grad if grid_is_tensor else None
 
     def test_untracked_source_gets_no_gradient(self, monkeypatch):
@@ -364,8 +365,8 @@ class TestConstraintMapping:
         target = rng.normal(size=(3, 3))
         with T.Graph():
             out = at.constrain_attention(raw)
-            T.backward(T.sum_all(T.mul(T.sub(out, T.Tensor(target)),
-                                       T.sub(out, T.Tensor(target)))))
+            T.backward(sum_all(mul(sub(out, T.Tensor(target)),
+                                   sub(out, T.Tensor(target)))))
 
         def f(rd):
             o = at.constrain_attention(T.Tensor(rd)).data
@@ -397,7 +398,7 @@ class TestAffineGridOp:
         params = T.Tensor(params_data, requires_grad=True)
         with T.Graph():
             g = at.affine_grid(params, 4, 4, inverse=inverse)
-            T.backward(T.sum_all(T.mul(g, T.Tensor(weights))))
+            T.backward(sum_all(mul(g, T.Tensor(weights))))
         check_grad(f, params_data, params.grad, n_coords=6, tol=1e-4)
 
     def test_scale_must_be_positive(self):
@@ -427,7 +428,7 @@ class TestEndToEndAttentionGradient:
         with T.Graph():
             params = at.constrain_attention(raw)
             patch = at.st(T.Tensor(img_data), params, 8, 8)
-            d = T.sub(patch, T.Tensor(target))
-            T.backward(T.sum_all(T.mul(d, d)))
+            d = sub(patch, T.Tensor(target))
+            T.backward(sum_all(mul(d, d)))
         assert raw.grad is not None and np.any(raw.grad != 0.0)
         check_grad(f, raw_data, raw.grad, n_coords=3, tol=2e-3)

@@ -8,6 +8,7 @@ from racdnn import tensor as T
 from racdnn.errors import ArgumentError, ShapeError
 
 from gradcheck import central_diff, central_diff_refined, rel_error
+from ops import mul, sum_all
 
 
 def make_nets(name="tiny", seed=0):
@@ -53,6 +54,13 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ArgumentError):
             N.preset("huge")
+
+    # in_channels, code_channels, code_size, map_size
+    @pytest.mark.parametrize("name,sizes", [("paper", (3, 256, 7, 56)), ("toy", (3, 32, 4, 32)),
+                                            ("tiny", (3, 8, 4, 16))], ids=["paper", "toy", "tiny"])
+    def test_derived_sizes(self, name, sizes):
+        p = N.preset(name)
+        assert (p.in_channels, p.code_channels, p.code_size, p.map_size) == sizes
 
     @pytest.mark.parametrize("name,map_size", [("tiny", 16), ("toy", 32)])
     def test_map_sizes(self, name, map_size):
@@ -197,7 +205,7 @@ class TestRefineNetSteps:
         h = T.Tensor(h_data, requires_grad=True)
         with T.Graph():
             out = refine.conv_recurrent_step(z, h)
-            T.backward(T.sum_all(T.mul(out, out)))
+            T.backward(sum_all(mul(out, out)))
         for tensor, data, wrap in ((z, z_data, lambda d: f(d, h_data)),
                                    (h, h_data, lambda d: f(z_data, d))):
             flat = np.random.default_rng(14).choice(data.size, 5, replace=False)
@@ -312,14 +320,15 @@ class TestRunRefinement:
         p, init, refine = make_nets("tiny")
         imgs = rand_images(p)
         r0, _ = init.initial_saliency(imgs)
-        with pytest.raises(ArgumentError):
-            refine.run_refinement(imgs, r0, n=0)
+        for n in (0, 2.5, "3"):
+            with pytest.raises(ArgumentError):
+                refine.run_refinement(imgs, r0, n=n)
 
     def test_decoder_weight_transfer(self):
         p, init, refine = make_nets("toy", seed=36)
         refine.load_decoder_from(init)
-        mine = dict(refine.decoder.tensors(trainable_only=False))
-        theirs = dict(init.decoder.tensors(trainable_only=False))
+        mine = dict(refine.decoder.tensors())
+        theirs = dict(init.decoder.tensors())
         for key in mine:
             np.testing.assert_array_equal(mine[key].data, theirs[key].data)
             assert mine[key].data is not theirs[key].data

@@ -7,6 +7,7 @@ from racdnn.errors import ArgumentError, BatchError, ShapeError
 
 from gradcheck import check_grad
 from memory import SLACK, traced_bytes
+from ops import mul, sum_all
 
 
 def conv_params(w, b=None, stride=1, padding=0, grad=True):
@@ -58,7 +59,7 @@ class TestConv2d:
             p = conv_params(wd, bd, stride=2, padding=1)
             x = T.Tensor(xd, requires_grad=True)
             with T.Graph():
-                loss = T.sum_all(T.sigmoid(nn.conv2d(x, p)))
+                loss = sum_all(T.sigmoid(nn.conv2d(x, p)))
                 T.backward(loss)
             return x, p, loss
 
@@ -66,13 +67,13 @@ class TestConv2d:
 
         def loss_of_x(xd):
             xt = T.Tensor(xd)
-            return T.sum_all(T.sigmoid(nn.conv2d(xt, conv_params(w_data, b_data, 2, 1, grad=False)))).item()
+            return sum_all(T.sigmoid(nn.conv2d(xt, conv_params(w_data, b_data, 2, 1, grad=False)))).item()
 
         def loss_of_w(wd):
-            return T.sum_all(T.sigmoid(nn.conv2d(T.Tensor(x_data), conv_params(wd, b_data, 2, 1, grad=False)))).item()
+            return sum_all(T.sigmoid(nn.conv2d(T.Tensor(x_data), conv_params(wd, b_data, 2, 1, grad=False)))).item()
 
         def loss_of_b(bd):
-            return T.sum_all(T.sigmoid(nn.conv2d(T.Tensor(x_data), conv_params(w_data, bd, 2, 1, grad=False)))).item()
+            return sum_all(T.sigmoid(nn.conv2d(T.Tensor(x_data), conv_params(w_data, bd, 2, 1, grad=False)))).item()
 
         check_grad(loss_of_x, x_data, x.grad, n_coords=20, tol=1e-4)
         check_grad(loss_of_w, w_data, p.weights.grad, n_coords=20, tol=1e-4)
@@ -84,7 +85,7 @@ class TestConv2d:
         x = T.Tensor(x_data, requires_grad=True)
         p = conv_params(w_data, b_data, stride, pad)
         with T.Graph():
-            T.backward(T.sum_all(T.sigmoid(nn.conv2d(x, p))))
+            T.backward(sum_all(T.sigmoid(nn.conv2d(x, p))))
         return x.grad, p.weights.grad, p.bias.grad
 
     @pytest.mark.parametrize("k, stride, pad", [(1, 1, 0), (3, 2, 1), (5, 1, 2), (5, 2, 2)])
@@ -97,7 +98,7 @@ class TestConv2d:
 
         def loss(xd, wd, bd):
             p = conv_params(wd, bd, stride, pad, grad=False)
-            return T.sum_all(T.sigmoid(nn.conv2d(T.Tensor(xd), p))).item()
+            return sum_all(T.sigmoid(nn.conv2d(T.Tensor(xd), p))).item()
 
         # input coordinates in every image of the batch
         x_coords = [(i, int(c), int(r), int(q)) for i in range(3)
@@ -134,7 +135,7 @@ class TestConv2d:
         x = T.Tensor(x_data)
         p = conv_params(w_data, b_data, stride, pad)
         with T.Graph():
-            T.backward(T.sum_all(T.sigmoid(nn.conv2d(x, p))))
+            T.backward(sum_all(T.sigmoid(nn.conv2d(x, p))))
         assert x.grad is None
         assert np.array_equal(p.weights.grad, d_w)
         assert np.array_equal(p.bias.grad, d_b)
@@ -185,7 +186,7 @@ class TestUnpool:
         x = T.Tensor(np.random.default_rng(4).normal(size=(1, 1, 2, 2)), requires_grad=True)
         with T.Graph():
             out = nn.unpool(x, 2)
-            T.backward(T.sum_all(T.mul(out, out)))
+            T.backward(sum_all(mul(out, out)))
         np.testing.assert_allclose(x.grad, 2.0 * x.data)
 
     def test_invalid_factor(self):
@@ -201,7 +202,7 @@ class TestUnpoolConv2d:
         p = conv_params(w_data, b_data, padding=pad)
         with T.Graph():
             out = op(x, p)
-            T.backward(T.sum_all(T.sigmoid(out)))
+            T.backward(sum_all(T.sigmoid(out)))
         return out.data, x.grad, p.weights.grad, None if b_data is None else p.bias.grad
 
     @staticmethod
@@ -232,7 +233,7 @@ class TestUnpoolConv2d:
 
         def loss(xd, wd, bd):
             p = conv_params(wd, bd, padding=pad, grad=False)
-            return T.sum_all(T.sigmoid(nn.unpool_conv2d(T.Tensor(xd), p, k))).item()
+            return sum_all(T.sigmoid(nn.unpool_conv2d(T.Tensor(xd), p, k))).item()
 
         check_grad(lambda xd: loss(xd, w_data, b_data), x_data, d_x, n_coords=30, tol=1e-4)
         check_grad(lambda wd: loss(x_data, wd, b_data), w_data, d_w, n_coords=20, tol=1e-4)
@@ -275,6 +276,8 @@ BAD_ARGUMENTS = {
     "unpool_conv2d.padding-1": (_unpool_conv_call(padding=-1), ArgumentError),
     "unpool_conv2d.factor0": (_unpool_conv_call(k=0), ShapeError),
     "unpool_conv2d.factor1.5": (_unpool_conv_call(k=1.5), ShapeError),
+    "batchnorm.mode": (lambda: nn.batchnorm(T.zeros([2, 1, 2, 2]), nn.BatchNormParams(
+        T.full([1], 1.0), T.zeros([1]), T.zeros([1]), T.full([1], 1.0)), "eval"), ArgumentError),
 }
 
 
@@ -345,12 +348,12 @@ class TestBatchNorm:
             p = nn.BatchNormParams(
                 gamma=T.Tensor(gd), beta=T.Tensor(bd),
                 running_mean=T.zeros([2]), running_var=T.full([2], 1.0))
-            return T.sum_all(T.sigmoid(nn.batchnorm(T.Tensor(xd), p, "train"))).item()
+            return sum_all(T.sigmoid(nn.batchnorm(T.Tensor(xd), p, "train"))).item()
 
         p = bn_params(2, gamma=gamma, beta=beta)
         x = T.Tensor(x_data, requires_grad=True)
         with T.Graph():
-            T.backward(T.sum_all(T.sigmoid(nn.batchnorm(x, p, "train"))))
+            T.backward(sum_all(T.sigmoid(nn.batchnorm(x, p, "train"))))
 
         check_grad(lambda xd: loss_from(xd, gamma, beta), x_data, x.grad, n_coords=15, tol=1e-4)
         check_grad(lambda gd: loss_from(x_data, gd, beta), gamma, p.gamma.grad, n_coords=2, tol=1e-4)
@@ -405,7 +408,7 @@ class TestBatchNormReference:
         x = T.Tensor(x_data, requires_grad=True)
         with T.Graph():
             out = nn.batchnorm(x, p, mode)
-            T.backward(T.sum_all(T.mul(out, og)))
+            T.backward(sum_all(mul(out, og)))
         got = (out.data, p.running_mean.data, p.running_var.data, x.grad, p.gamma.grad, p.beta.grad)
         for name, a, b in zip("out rmean rvar d_x d_gamma d_beta".split(), got, ref):
             assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max(), name
@@ -416,12 +419,12 @@ class TestBatchNormReference:
 
         def loss_from(xd, gd, bd):
             p = bn_params(4, gd, bd, stats["rmean"], stats["rvar"])
-            return T.sum_all(T.sigmoid(nn.batchnorm(T.Tensor(xd), p, "infer"))).item()
+            return sum_all(T.sigmoid(nn.batchnorm(T.Tensor(xd), p, "infer"))).item()
 
         p = bn_params(4, **stats)
         x = T.Tensor(x_data, requires_grad=True)
         with T.Graph():
-            T.backward(T.sum_all(T.sigmoid(nn.batchnorm(x, p, "infer"))))
+            T.backward(sum_all(T.sigmoid(nn.batchnorm(x, p, "infer"))))
 
         check_grad(lambda xd: loss_from(xd, gamma, beta), x_data, x.grad, n_coords=15, tol=1e-4)
         check_grad(lambda gd: loss_from(x_data, gd, beta), gamma, p.gamma.grad,
@@ -458,13 +461,13 @@ class TestLinear:
 
         def loss_from(xd, wd, bd):
             p = nn.LinearParams(T.Tensor(wd), T.Tensor(bd))
-            return T.sum_all(T.sigmoid(nn.linear(T.Tensor(xd), p))).item()
+            return sum_all(T.sigmoid(nn.linear(T.Tensor(xd), p))).item()
 
         x = T.Tensor(x_data, requires_grad=True)
         p = nn.LinearParams(T.Tensor(w_data, requires_grad=True),
                             T.Tensor(b_data, requires_grad=True))
         with T.Graph():
-            T.backward(T.sum_all(T.sigmoid(nn.linear(x, p))))
+            T.backward(sum_all(T.sigmoid(nn.linear(x, p))))
 
         check_grad(lambda d: loss_from(d, w_data, b_data), x_data, x.grad, n_coords=10, tol=1e-4)
         check_grad(lambda d: loss_from(x_data, d, b_data), w_data, p.weights.grad, n_coords=10, tol=1e-4)
@@ -472,40 +475,21 @@ class TestLinear:
 
 
 class TestBCE:
-    def test_perfect_prediction(self):
-        g = np.array([[0.0, 1.0], [1.0, 0.0]])
-        loss = nn.bce_loss(T.Tensor(g), g)
-        assert loss.item() <= 1e-6
-
     def test_uniform_half_gives_ln2(self):
         g = np.array([0.0, 1.0, 1.0, 0.0])
-        loss = nn.bce_loss(T.Tensor(np.full(4, 0.5)), g)
+        loss = nn.bce_with_logits(T.zeros([4]), g)    # sigmoid(0) = 0.5
         assert abs(loss.item() - np.log(2.0)) < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            nn.bce_loss(T.zeros([2, 2]), np.zeros((3, 2)))
-
-    def test_logit_gradient_analytic(self):
-        rng = np.random.default_rng(14)
-        r_data = rng.normal(size=(6, 6)) * 2.0
-        g = (rng.uniform(size=(6, 6)) > 0.5).astype(float)
-        r = T.Tensor(r_data, requires_grad=True)
-        with T.Graph():
-            T.backward(nn.bce_loss(T.sigmoid(r), g))
-        s = 1.0 / (1.0 + np.exp(-r_data))
-        np.testing.assert_allclose(r.grad, (s - g) / r_data.size, rtol=1e-9)
-
-        def f(rd):
-            return nn.bce_loss(T.sigmoid(T.Tensor(rd)), g).item()
-
-        check_grad(f, r_data, r.grad, n_coords=12, tol=1e-4)
+            nn.bce_with_logits(T.zeros([2, 2]), np.zeros((3, 2)))
 
     def test_bce_with_logits_matches_probability_path(self):
         rng = np.random.default_rng(15)
         r = rng.normal(size=(5, 5)) * 3.0
         g = (rng.uniform(size=(5, 5)) > 0.4).astype(float)
-        via_probs = nn.bce_loss(T.sigmoid(T.Tensor(r)), g).item()
+        s = 1.0 / (1.0 + np.exp(-r))
+        via_probs = -(g * np.log(s) + (1.0 - g) * np.log1p(-s)).mean()
         via_logits = nn.bce_with_logits(T.Tensor(r), g).item()
         assert abs(via_probs - via_logits) < 1e-9
 
@@ -523,20 +507,8 @@ class TestBCE:
         r = np.linspace(-50.0, 50.0, 101)
         g = (np.arange(101) % 2).astype(float)
         via_logits = nn.bce_with_logits(T.Tensor(r), g)
-        via_probs = nn.bce_loss(T.sigmoid(T.Tensor(r)), g)
         assert np.isfinite(via_logits.item())
-        assert np.isfinite(via_probs.item())
         rt = T.Tensor(r, requires_grad=True)
         with T.Graph():
             T.backward(nn.bce_with_logits(rt, g))
         assert np.all(np.isfinite(rt.grad))
-
-    def test_nonnegative_and_zero_only_when_perfect(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            pred = rng.uniform(size=(3, 3))
-            g = (rng.uniform(size=(3, 3)) > 0.5).astype(float)
-            loss = nn.bce_loss(T.Tensor(pred), g).item()
-            assert loss >= 0.0
-            if np.abs(pred - g).max() > 0.01:
-                assert loss > 1e-6

@@ -8,6 +8,7 @@ from racdnn.errors import ArgumentError, GraphError, ShapeError
 
 from gradcheck import check_grad
 from memory import traced_bytes
+from ops import matmul, mul, sum_all
 
 
 class TestCreate:
@@ -26,8 +27,15 @@ class TestCreate:
             T.zeros(shape)
 
     def test_he_normal_scale(self):
-        t = T.he_normal([2000], fan_in=50, rng=np.random.default_rng(0))
+        t = T.he_normal([40, 5, 10], rng=np.random.default_rng(0))   # fan-in 5*10
         assert abs(t.data.std() - np.sqrt(2.0 / 50)) < 0.01
+
+    @pytest.mark.parametrize("shape,fan_in", [([4, 3, 5, 5], 75), ([6, 7], 7), ([3], 1)],
+                             ids=["kernel", "linear", "vector"])
+    def test_he_normal_fan_in_is_every_axis_after_the_first(self, shape, fan_in):
+        want = np.random.default_rng(1).normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+        got = T.he_normal(shape, np.random.default_rng(1)).data
+        assert got.tobytes() == want.tobytes()
 
 
 class TestElementwise:
@@ -47,10 +55,6 @@ class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert T.sigmoid(T.Tensor([0.0])).data.tolist() == [0.5]
 
-    def test_scalar_operand(self):
-        assert T.mul(T.Tensor([2.0, 3.0]), 2.0).data.tolist() == [4.0, 6.0]
-        assert T.sub(T.Tensor([2.0, 3.0]), 1.0).data.tolist() == [1.0, 2.0]
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.add(T.Tensor([1.0, 2.0]), T.Tensor([1.0, 2.0, 3.0]))
@@ -63,23 +67,23 @@ class TestElementwise:
 class TestMatmul:
     def test_identity(self):
         m = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = T.matmul(T.Tensor(np.eye(2)), m)
+        out = matmul(T.Tensor(np.eye(2)), m)
         assert np.array_equal(out.data, m.data)
 
     def test_hand_value(self):
-        out = T.matmul(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0], [4.0]]))
+        out = matmul(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0], [4.0]]))
         assert out.data.tolist() == [[11.0]]
 
     def test_inner_mismatch(self):
         with pytest.raises(ShapeError):
-            T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
+            matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
 
     def test_grad_of_sum_is_ones_bT(self):
         rng = np.random.default_rng(1)
         a = T.Tensor(rng.normal(size=(5, 7)), requires_grad=True)
         b = T.Tensor(rng.normal(size=(7, 3)))
         with T.Graph():
-            loss = T.sum_all(T.matmul(a, b))
+            loss = sum_all(matmul(a, b))
             T.backward(loss)
         expected = np.ones((5, 3)) @ b.data.T
         np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
@@ -94,7 +98,7 @@ class TestBackward:
     def test_square_sum(self):
         x = T.Tensor([3.0], requires_grad=True)
         with T.Graph():
-            loss = T.sum_all(T.mul(x, x))
+            loss = sum_all(mul(x, x))
             T.backward(loss)
         assert x.grad.tolist() == [6.0]
 
@@ -102,7 +106,7 @@ class TestBackward:
         a = T.Tensor([2.0, -1.0], requires_grad=True)
         b = T.Tensor([5.0, 4.0], requires_grad=True)
         with T.Graph():
-            T.backward(T.sum_all(T.mul(a, b)))
+            T.backward(sum_all(mul(a, b)))
         assert a.grad.tolist() == b.data.tolist()
         assert b.grad.tolist() == a.data.tolist()
 
@@ -114,9 +118,9 @@ class TestBackward:
         def forward(x):
             xt = T.Tensor(x, requires_grad=True)
             w = T.Tensor(w_data)
-            h = T.relu(T.matmul(xt, w))
+            h = T.relu(matmul(xt, w))
             y = T.sigmoid(T.add(h, xt))
-            return xt, T.sum_all(T.mul(y, y))
+            return xt, sum_all(mul(y, y))
 
         xt, loss = None, None
         with T.Graph():
@@ -139,15 +143,15 @@ class TestBackward:
                 T.backward(fn(x))
             return x.grad
 
-        g1 = run(lambda x: T.sum_all(T.mul(x, x)))
-        g2 = run(lambda x: T.sum_all(T.sigmoid(x)))
-        g_combined = run(lambda x: T.add(T.sum_all(T.mul(x, x)), T.sum_all(T.sigmoid(x))))
+        g1 = run(lambda x: sum_all(mul(x, x)))
+        g2 = run(lambda x: sum_all(T.sigmoid(x)))
+        g_combined = run(lambda x: T.add(sum_all(mul(x, x)), sum_all(T.sigmoid(x))))
         np.testing.assert_allclose(g_combined, g1 + g2, rtol=1e-12)
 
     def test_repeated_backward_accumulates(self):
         x = T.Tensor([2.0], requires_grad=True)
         with T.Graph():
-            loss = T.sum_all(T.mul(x, x))
+            loss = sum_all(mul(x, x))
             T.backward(loss)
             T.backward(loss)
         assert x.grad.tolist() == [8.0]
@@ -155,7 +159,7 @@ class TestBackward:
     def test_finished_graph_is_released(self):
         x = T.Tensor([2.0], requires_grad=True)
         with T.Graph() as g:
-            loss = T.sum_all(T.mul(x, x))
+            loss = sum_all(mul(x, x))
         T.backward(loss)
         graph = weakref.ref(g)
         del g, loss
@@ -165,15 +169,15 @@ class TestBackward:
     def test_recording_after_backward_keeps_accumulating(self):
         x = T.Tensor([2.0], requires_grad=True)
         with T.Graph():
-            T.backward(T.sum_all(T.mul(x, x)))
-            T.backward(T.sum_all(T.mul(x, 3.0)))
+            T.backward(sum_all(mul(x, x)))
+            T.backward(sum_all(mul(x, 3.0)))
         assert x.grad.tolist() == [7.0]
 
     def test_reused_node_accumulates(self):
         x = T.Tensor([3.0], requires_grad=True)
         with T.Graph():
-            y = T.mul(x, 2.0)
-            T.backward(T.sum_all(T.add(y, y)))
+            y = mul(x, 2.0)
+            T.backward(sum_all(T.add(y, y)))
         assert x.grad.tolist() == [4.0]
 
     def test_needs_grad_follows_the_active_graph(self):
@@ -181,9 +185,9 @@ class TestBackward:
         const = T.Tensor([1.0])
         assert not T.needs_grad(leaf)
         with T.Graph() as g:
-            y = T.mul(leaf, 2.0)
+            y = mul(leaf, 2.0)
             assert T.needs_grad(leaf) and T.needs_grad(y)
-            assert not T.needs_grad(const) and not T.needs_grad(T.mul(const, 2.0))
+            assert not T.needs_grad(const) and not T.needs_grad(mul(const, 2.0))
             assert not T.needs_grad(None) and not T.needs_grad(np.ones(1))
             assert len(g) == 2    # the leaf and the mul; the check registers nothing
         with T.Graph():
@@ -193,22 +197,22 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = T.Tensor([1.0, 2.0], requires_grad=True)
         with T.Graph():
-            y = T.mul(x, x)
+            y = mul(x, x)
             with pytest.raises(ArgumentError):
                 T.backward(y)
 
     def test_detached_loss_rejected(self):
         x = T.Tensor([1.0], requires_grad=True)
-        loss = T.sum_all(T.mul(x, x))  # no active graph
+        loss = sum_all(mul(x, x))  # no active graph
         with pytest.raises(GraphError):
             T.backward(loss)
 
     def test_forward_independent_of_recording(self):
         rng = np.random.default_rng(11)
         x = T.Tensor(rng.normal(size=(5, 5)), requires_grad=True)
-        plain = T.sigmoid(T.matmul(x, x)).data
+        plain = T.sigmoid(matmul(x, x)).data
         with T.Graph():
-            recorded = T.sigmoid(T.matmul(x, x)).data
+            recorded = T.sigmoid(matmul(x, x)).data
         assert np.array_equal(plain, recorded)
 
     def test_grad_aliasing_safe(self):
@@ -216,7 +220,7 @@ class TestBackward:
         a = T.Tensor([1.0], requires_grad=True)
         b = T.Tensor([2.0], requires_grad=True)
         with T.Graph():
-            T.backward(T.sum_all(T.add(a, b)))
+            T.backward(sum_all(T.add(a, b)))
         a.grad[0] = 99.0
         assert b.grad.tolist() == [1.0]
 
@@ -225,15 +229,9 @@ class TestStructural:
     def test_reshape_roundtrip_grad(self):
         x = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with T.Graph():
-            T.backward(T.sum_all(T.mul(T.reshape(x, (6,)), 2.0)))
+            T.backward(sum_all(mul(T.reshape(x, (6,)), 2.0)))
         assert np.array_equal(x.grad, np.full((2, 3), 2.0))
 
     def test_reshape_bad_size(self):
         with pytest.raises(ShapeError):
             T.reshape(T.zeros([2, 3]), (4,))
-
-    def test_assert_finite(self):
-        from racdnn.errors import NumericError
-
-        with pytest.raises(NumericError):
-            T.assert_finite(T.Tensor([np.nan]))
