@@ -1,11 +1,13 @@
 """Network assembly: the initial encoder-decoder saliency network and the
 recurrent attentional refinement network.
 
-The encoder shrinks an image to a spatially compact code by strided
+The encoder shrinks an image to a spatially compact code by stride-2
 convolutions; the decoder grows the code back to a raw (pre-sigmoid)
 saliency map through blocks of a 2x unpool fused into a 5x5 convolution
 (``nn.unpool_conv2d``, which never builds the unpooled zeros), each
-followed by a capacity-adding 1x1 convolution. The refinement network
+followed by a capacity-adding 1x1 convolution. Every convolution pads by
+``kernel // 2`` and takes its input channels from the layer before it;
+the last 1x1 emits the 1-channel raw map. The refinement network
 re-uses the same encoder/decoder shapes inside a two-layer recurrent loop
 that attends to one window per iteration and accumulates decoded patches
 into the running map.
@@ -30,40 +32,40 @@ from .errors import ArgumentError, ShapeError
 from .tensor import Tensor
 
 DEFAULT_ITERATIONS = 9
+IMAGE_CHANNELS = 3
 
 
 @dataclass(frozen=True)
 class Preset:
-    """Shape constants of both networks. A preset gives the layer tables,
-    the input size and the widths of the fully-connected layers; the image
-    channels, the code's channels and side, and the map side are read-only
-    values derived from them, so they cannot disagree with the tables. The
-    first recurrent state shares the code's channel count and spatial size
-    so the decoder can consume either."""
+    """Shape constants of both networks: the layer tables, the input size
+    and the widths of the fully-connected layers. The tables state only
+    the widths and kernels; every encoder layer has stride 2, every
+    convolution pads by ``kernel // 2``, each layer's input channels are
+    the previous layer's output (``IMAGE_CHANNELS`` for the first encoder
+    layer, the code's channels for the first decoder block), and the last
+    decoder block ends in the 1-channel raw map. The code's channels and
+    side and the map side are read-only values derived from the tables.
+    The first recurrent state shares the code's channel count and spatial
+    size so the decoder can consume either."""
 
     name: str
     input_size: int
-    encoder: tuple          # (c_in, c_out, kernel, stride, pad) per layer
-    decoder: tuple          # (c_in, c_mid, c_out) per block: unpool+5x5 conv, then 1x1 conv
+    encoder: tuple          # (c_out, kernel) per stride-2 layer
+    decoder: tuple          # width per block: unpool+5x5 conv, then 1x1 conv
     state_dim: int
     loc_hidden: int
 
     @property
-    def in_channels(self) -> int:
-        """The first encoder layer's input channels."""
-        return self.encoder[0][0]
-
-    @property
     def code_channels(self) -> int:
         """The last encoder layer's output channels."""
-        return self.encoder[-1][1]
+        return self.encoder[-1][0]
 
     @property
     def code_size(self) -> int:
         """Side of the code: `input_size` through every encoder layer."""
         size = self.input_size
-        for _, _, kernel, stride, pad in self.encoder:
-            size = nn.conv_output_size(size, kernel, stride, pad)
+        for _, kernel in self.encoder:
+            size = nn.conv_output_size(size, kernel, 2, kernel // 2)
         return size
 
     @property
@@ -75,20 +77,18 @@ class Preset:
 _PRESETS = {
     "paper": Preset(
         name="paper", input_size=224,
-        encoder=((3, 64, 5, 2, 2), (64, 128, 3, 2, 1), (128, 256, 3, 2, 1),
-                 (256, 256, 3, 2, 1), (256, 256, 3, 2, 1)),
-        decoder=((256, 128, 128), (128, 64, 64), (64, 32, 1)),
+        encoder=((64, 5), (128, 3), (256, 3), (256, 3), (256, 3)),
+        decoder=(128, 64, 32),
         state_dim=512, loc_hidden=256),
     "toy": Preset(
         name="toy", input_size=64,
-        encoder=((3, 16, 5, 2, 2), (16, 24, 3, 2, 1), (24, 32, 3, 2, 1),
-                 (32, 32, 3, 2, 1)),
-        decoder=((32, 24, 24), (24, 16, 16), (16, 8, 1)),
+        encoder=((16, 5), (24, 3), (32, 3), (32, 3)),
+        decoder=(24, 16, 8),
         state_dim=64, loc_hidden=32),
     "tiny": Preset(
         name="tiny", input_size=16,
-        encoder=((3, 8, 3, 2, 1), (8, 8, 3, 2, 1)),
-        decoder=((8, 8, 8), (8, 4, 1)),
+        encoder=((8, 3), (8, 3)),
+        decoder=(8, 4),
         state_dim=16, loc_hidden=8),
 }
 
@@ -109,27 +109,23 @@ def _bn(c: int) -> nn.BatchNormParams:
 
 
 class ConvLayer:
-    """conv -> optional batchnorm -> optional ReLU."""
+    """conv -> batchnorm -> ReLU, or the conv alone when ``bare``."""
 
-    def __init__(self, c_in, c_out, kernel, stride, pad, rng,
-                 norm: bool = True, act: bool = True):
+    def __init__(self, c_in, c_out, kernel, rng, stride=1, bare=False):
         self.conv = nn.Conv2dParams(
             weights=T.he_normal([c_out, c_in, kernel, kernel], rng, requires_grad=True),
             bias=T.zeros([c_out], requires_grad=True),
-            stride=stride, padding=pad)
-        self.norm = _bn(c_out) if norm else None
-        self.act = act
+            stride=stride, padding=kernel // 2)
+        self.norm = None if bare else _bn(c_out)
 
     def _conv(self, x: Tensor) -> Tensor:
         return nn.conv2d(x, self.conv)
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
-        x = self._conv(x)
-        if self.norm is not None:
-            x = nn.batchnorm(x, self.norm, mode)
-        if self.act:
-            x = T.relu(x)
-        return x
+        if self.norm is None:
+            return self._conv(x)
+        # nested, so that without a tape the conv output is freed before relu allocates
+        return T.relu(nn.batchnorm(self._conv(x), self.norm, mode))
 
     def tensors(self):
         yield "w", self.conv.weights
@@ -167,25 +163,28 @@ class Stack:
 
 
 def build_encoder(p: Preset, rng) -> Stack:
-    return Stack([ConvLayer(ci, co, k, s, pd, rng) for ci, co, k, s, pd in p.encoder])
+    layers, c_in = [], IMAGE_CHANNELS
+    for c_out, kernel in p.encoder:
+        layers.append(ConvLayer(c_in, c_out, kernel, rng, stride=2))
+        c_in = c_out
+    return Stack(layers)
 
 
 def build_decoder(p: Preset, rng) -> Stack:
-    layers = []
-    last = len(p.decoder) - 1
-    for i, (c_in, c_mid, c_out) in enumerate(p.decoder):
-        final = i == last
-        layers.append(UnpoolConvLayer(c_in, c_mid, 5, 1, 2, rng))
-        # 1x1 capacity layer; the very last one emits raw logits bare
-        layers.append(ConvLayer(c_mid, c_out, 1, 1, 0, rng,
-                                norm=not final, act=not final))
+    layers, c_in = [], p.code_channels
+    for i, width in enumerate(p.decoder):
+        final = i == len(p.decoder) - 1
+        layers.append(UnpoolConvLayer(c_in, width, 5, rng))
+        # 1x1 capacity layer; the very last one emits the 1-channel raw map bare
+        layers.append(ConvLayer(width, 1 if final else width, 1, rng, bare=final))
+        c_in = width
     return Stack(layers)
 
 
 def _check_images(images: Tensor, p: Preset) -> Tensor:
-    if images.ndim != 4 or images.shape[1:] != (p.in_channels, p.input_size, p.input_size):
+    if images.ndim != 4 or images.shape[1:] != (IMAGE_CHANNELS, p.input_size, p.input_size):
         raise ShapeError(f"preset {p.name!r} expects images "
-                         f"[B,{p.in_channels},{p.input_size},{p.input_size}], got {images.shape}")
+                         f"[B,{IMAGE_CHANNELS},{p.input_size},{p.input_size}], got {images.shape}")
     return images
 
 

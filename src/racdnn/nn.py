@@ -7,8 +7,9 @@ Convolution is cross-correlation (no kernel flip). The decoder's block of
 unpool then stride-1 convolution is one op, :func:`unpool_conv2d`: a
 transposed convolution that never builds the unpooled zeros, equal to
 ``conv2d(unpool(x, k), p)``, which stays as its reference. A stride,
-padding or unpool factor that is not an integer in range raises a typed
-:class:`~racdnn.errors.RacdnnError`. The loss is one binary
+padding or unpool factor that is not an integer in range raises
+:class:`~racdnn.errors.ArgumentError`; weights of the wrong rank raise
+:class:`~racdnn.errors.ShapeError`. The loss is one binary
 cross-entropy, :func:`bce_with_logits`, computed from raw logits, so it
 stays finite for logits far outside the sigmoid's useful range.
 """
@@ -60,10 +61,20 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def _require_int(value, lowest: int, what: str, error=ArgumentError) -> None:
+def _require_int(value, lowest: int, what: str) -> None:
     """Reject `value` unless it is an integer >= `lowest`."""
     if not isinstance(value, (int, np.integer)) or value < lowest:
-        raise error(f"{what} must be an integer >= {lowest}, got {value!r}")
+        raise ArgumentError(f"{what} must be an integer >= {lowest}, got {value!r}")
+
+
+def _kernel_shape(p: Conv2dParams, c_in: int, what: str) -> tuple:
+    """The [C_out, C_in, kh, kw] shape of `p`'s weights, checked against an
+    input of `c_in` channels."""
+    if p.weights.ndim != 4:
+        raise ShapeError(f"{what} weights must be [C_out,C_in,kh,kw], got {p.weights.shape}")
+    if p.weights.shape[1] != c_in:
+        raise ShapeError(f"input has {c_in} channels, kernel expects {p.weights.shape[1]}")
+    return p.weights.shape
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, s: int, off: int, out_hw: tuple) -> np.ndarray:
@@ -103,9 +114,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     _require_int(p.stride, 1, "conv2d stride")
     _require_int(p.padding, 0, "conv2d padding")
     b, c_in, h, w = data.shape
-    c_out, c_in_w, kh, kw = p.weights.shape
-    if c_in != c_in_w:
-        raise ShapeError(f"input has {c_in} channels, kernel expects {c_in_w}")
+    c_out, _, kh, kw = _kernel_shape(p, c_in, "conv2d")
     s, pad = p.stride, p.padding
     ho = conv_output_size(h, kh, s, pad)
     wo = conv_output_size(w, kw, s, pad)
@@ -140,7 +149,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
 
 def unpool(x: Tensor, k: int) -> Tensor:
     """Upsize by k: each value lands in the top-left corner of its k x k block."""
-    _require_int(k, 1, "unpool factor", ShapeError)
+    _require_int(k, 1, "unpool factor")
     data = _check_4d(x, "unpool")
     b, c, h, w = data.shape
     out = np.zeros((b, c, h * k, w * k))
@@ -162,14 +171,12 @@ def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
     order of the float64 sums differs from the composition.
     """
     data = _check_4d(x, "unpool_conv2d")
-    _require_int(k, 1, "unpool factor", ShapeError)
+    _require_int(k, 1, "unpool factor")
     if p.stride != 1:
         raise ArgumentError(f"unpool_conv2d needs conv stride 1, got {p.stride!r}")
     _require_int(p.padding, 0, "unpool_conv2d padding")
     b, c_in, h, w = data.shape
-    c_out, c_in_w, kh, kw = p.weights.shape
-    if c_in != c_in_w:
-        raise ShapeError(f"input has {c_in} channels, kernel expects {c_in_w}")
+    c_out, _, kh, kw = _kernel_shape(p, c_in, "unpool_conv2d")
     pad = p.padding
     ho = conv_output_size(h * k, kh, 1, pad)
     wo = conv_output_size(w * k, kw, 1, pad)
@@ -263,6 +270,8 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     """Affine map x @ weights.T + bias for a batch of vectors [B,n]."""
     if x.ndim != 2:
         raise ShapeError(f"linear expects a batch of vectors [B,n], got {x.shape}")
+    if p.weights.ndim != 2:
+        raise ShapeError(f"linear weights must be [out,in], got {p.weights.shape}")
     in_dim = p.weights.shape[1]
     if x.shape[1] != in_dim:
         raise ShapeError(f"input has {x.shape[1]} features, weights expect {in_dim}")

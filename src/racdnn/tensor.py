@@ -190,9 +190,11 @@ def zero_grads(params: dict) -> None:
 
 
 def _validate_shape(shape) -> tuple[int, ...]:
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(shape)
     if len(shape) == 0:
         raise ShapeError("shape must be non-empty")
+    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in shape):
+        raise ShapeError(f"dimensions must be integers, got {shape}")
     if any(s < 1 for s in shape):
         raise ShapeError(f"all dimensions must be >= 1, got {shape}")
     return shape

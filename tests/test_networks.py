@@ -55,12 +55,49 @@ class TestPresets:
         with pytest.raises(ArgumentError):
             N.preset("huge")
 
-    # in_channels, code_channels, code_size, map_size
-    @pytest.mark.parametrize("name,sizes", [("paper", (3, 256, 7, 56)), ("toy", (3, 32, 4, 32)),
-                                            ("tiny", (3, 8, 4, 16))], ids=["paper", "toy", "tiny"])
+    # code_channels, code_size, map_size
+    @pytest.mark.parametrize("name,sizes", [("paper", (256, 7, 56)), ("toy", (32, 4, 32)),
+                                            ("tiny", (8, 4, 16))], ids=["paper", "toy", "tiny"])
     def test_derived_sizes(self, name, sizes):
         p = N.preset(name)
-        assert (p.in_channels, p.code_channels, p.code_size, p.map_size) == sizes
+        assert (p.code_channels, p.code_size, p.map_size) == sizes
+
+    # the layer tables with every value spelled out: (c_in, c_out, kernel,
+    # stride, pad) per encoder layer, (c_in, c_mid, c_out) per decoder block
+    EXPLICIT_TABLES = {
+        "paper": (((3, 64, 5, 2, 2), (64, 128, 3, 2, 1), (128, 256, 3, 2, 1),
+                   (256, 256, 3, 2, 1), (256, 256, 3, 2, 1)),
+                  ((256, 128, 128), (128, 64, 64), (64, 32, 1))),
+        "toy": (((3, 16, 5, 2, 2), (16, 24, 3, 2, 1), (24, 32, 3, 2, 1), (32, 32, 3, 2, 1)),
+                ((32, 24, 24), (24, 16, 16), (16, 8, 1))),
+        "tiny": (((3, 8, 3, 2, 1), (8, 8, 3, 2, 1)), ((8, 8, 8), (8, 4, 1))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPLICIT_TABLES))
+    def test_every_conv_matches_the_explicit_tables(self, name):
+        encoder, decoder = self.EXPLICIT_TABLES[name]
+        # (unpooled input, weight shape, stride, padding, batchnorm) per conv
+        want_enc = [(False, (co, ci, k, k), s, pd, True) for ci, co, k, s, pd in encoder]
+        want_dec = []
+        for i, (ci, cm, co) in enumerate(decoder):
+            want_dec += [(True, (cm, ci, 5, 5), 1, 2, True),
+                         (False, (co, cm, 1, 1), 1, 0, i < len(decoder) - 1)]
+
+        def geometry(stack):
+            return [(isinstance(layer, N.UnpoolConvLayer), layer.conv.weights.shape,
+                     layer.conv.stride, layer.conv.padding, layer.norm is not None)
+                    for layer in stack.layers]
+
+        _, init, refine = make_nets(name)
+        for stack in (init.encoder, refine.context, refine.encoder):
+            assert geometry(stack) == want_enc
+        for stack in (init.decoder, refine.decoder):
+            assert geometry(stack) == want_dec
+            final = stack.layers[-1]
+            assert final.norm is None and final.conv.weights.shape[0] == 1
+        c = encoder[-1][1]
+        for conv in (refine.w1_i, refine.w1_r):
+            assert (conv.weights.shape, conv.stride, conv.padding) == ((c, c, 3, 3), 1, 1)
 
     @pytest.mark.parametrize("name,map_size", [("tiny", 16), ("toy", 32)])
     def test_map_sizes(self, name, map_size):
@@ -343,9 +380,7 @@ class TestFusedDecoder:
                 x = nn.unpool(x, 2)
             x = nn.conv2d(x, layer.conv)
             if layer.norm is not None:
-                x = nn.batchnorm(x, layer.norm, mode)
-            if layer.act:
-                x = T.relu(x)
+                x = T.relu(nn.batchnorm(x, layer.norm, mode))
         return x
 
     @pytest.mark.parametrize("mode", ["train", "infer"])

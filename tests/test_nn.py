@@ -190,7 +190,7 @@ class TestUnpool:
         np.testing.assert_allclose(x.grad, 2.0 * x.data)
 
     def test_invalid_factor(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ArgumentError):
             nn.unpool(T.zeros([1, 1, 2, 2]), 0)
 
 
@@ -268,14 +268,21 @@ BAD_ARGUMENTS = {
     "conv2d.stride-1": (_conv_call(stride=-1), ArgumentError),
     "conv2d.stride1.5": (_conv_call(stride=1.5), ArgumentError),
     "conv2d.padding-1": (_conv_call(padding=-1), ArgumentError),
-    "unpool.factor1.5": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), 1.5), ShapeError),
-    "unpool.factor-1": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), -1), ShapeError),
+    "conv2d.weights3d": (lambda: nn.conv2d(T.zeros([1, 1, 4, 4]), conv_params(np.zeros((1, 3, 3)))),
+                         ShapeError),
+    "unpool.factor1.5": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), 1.5), ArgumentError),
+    "unpool.factor-1": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), -1), ArgumentError),
     "unpool_conv2d.stride0": (_unpool_conv_call(stride=0), ArgumentError),
     "unpool_conv2d.stride-1": (_unpool_conv_call(stride=-1), ArgumentError),
     "unpool_conv2d.stride2": (_unpool_conv_call(stride=2), ArgumentError),
     "unpool_conv2d.padding-1": (_unpool_conv_call(padding=-1), ArgumentError),
-    "unpool_conv2d.factor0": (_unpool_conv_call(k=0), ShapeError),
-    "unpool_conv2d.factor1.5": (_unpool_conv_call(k=1.5), ShapeError),
+    "unpool_conv2d.factor0": (_unpool_conv_call(k=0), ArgumentError),
+    "unpool_conv2d.factor1.5": (_unpool_conv_call(k=1.5), ArgumentError),
+    "unpool_conv2d.weights3d": (lambda: nn.unpool_conv2d(T.zeros([1, 1, 4, 4]),
+                                                         conv_params(np.zeros((1, 3, 3))), 2),
+                                ShapeError),
+    "linear.weights1d": (lambda: nn.linear(T.zeros([1, 2]), nn.LinearParams(T.zeros([2]), None)),
+                         ShapeError),
     "batchnorm.mode": (lambda: nn.batchnorm(T.zeros([2, 1, 2, 2]), nn.BatchNormParams(
         T.full([1], 1.0), T.zeros([1]), T.zeros([1]), T.full([1], 1.0)), "eval"), ArgumentError),
 }

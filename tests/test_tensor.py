@@ -21,7 +21,7 @@ class TestCreate:
         t = T.full([1], 1.0)
         assert t.data.tolist() == [1.0]
 
-    @pytest.mark.parametrize("shape", [[], [0], [2, -1], [2, 0, 3]])
+    @pytest.mark.parametrize("shape", [[], [0], [2, -1], [2, 0, 3], [2.5], ["3"], [True, 3]])
     def test_invalid_shape(self, shape):
         with pytest.raises(ShapeError):
             T.zeros(shape)
