@@ -124,8 +124,10 @@ def bilinear_sample(source: Tensor, grid: Union[Tensor, np.ndarray]) -> Tensor:
     vals = np.empty((b, c, 4, n_out))
     idx, wgt, fx, fy = _corners(gd, h, w)
     ringed = np.pad(source.data, ((0, 0), (0, 0), (1, 1), (1, 1))).reshape(b, c, n_ring)
+    # every index is clipped onto the ring already; mode="clip" also keeps
+    # numpy from buffering `out`, which the default mode does
     for i in range(b):
-        np.take(ringed[i], idx[i], axis=1, out=vals[i])
+        np.take(ringed[i], idx[i], axis=1, out=vals[i], mode="clip")
     out = np.einsum("bckn,bkn->bcn", vals, wgt).reshape(b, c, ho, wo)
 
     corners = (idx, wgt) if needs_grad(source) else None

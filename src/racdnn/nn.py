@@ -3,12 +3,18 @@
 Every layer takes batched input only: spatial layers, batchnorm included,
 take ``[B,C,H,W]`` and vector layers take ``[B,n]``; a single image is a
 batch of one. Infer-mode batchnorm is one per-channel scale and shift.
-Convolution is cross-correlation (no kernel flip). The decoder's block of
-unpool then stride-1 convolution is one op, :func:`unpool_conv2d`: a
+Convolution is cross-correlation (no kernel flip), computed as im2col and
+one matmul per block: a block is a group of whole images when one image's
+columns fit :data:`_BLOCK_BYTES`, otherwise a run of one image's output
+rows, so the columns of the whole batch never exist at once. When it
+records, :func:`conv2d` keeps each block's zero-padded input rows, and
+backward rebuilds the columns from them. The decoder's unpool then
+stride-1 convolution is one op, :func:`unpool_conv2d`: a
 transposed convolution that never builds the unpooled zeros, equal to
 ``conv2d(unpool(x, k), p)``, which stays as its reference. A stride,
 padding or unpool factor that is not an integer in range raises
-:class:`~racdnn.errors.ArgumentError`; weights of the wrong rank raise
+:class:`~racdnn.errors.ArgumentError`; weights of the wrong rank, and a
+bias or batchnorm vector of the wrong length, raise
 :class:`~racdnn.errors.ShapeError`. The loss is one binary
 cross-entropy, :func:`bce_with_logits`, computed from raw logits, so it
 stays finite for logits far outside the sigmoid's useful range.
@@ -27,6 +33,9 @@ from .tensor import Tensor, needs_grad, record, _sigmoid
 # batchnorm: weight of the old running statistic, and the variance floor
 BN_MOMENTUM = 0.9
 BN_EPSILON = 1e-5
+
+# conv2d works in blocks whose im2col columns take at most this many bytes
+_BLOCK_BYTES = 4 * 1024 * 1024
 
 
 @dataclass
@@ -67,13 +76,20 @@ def _require_int(value, lowest: int, what: str) -> None:
         raise ArgumentError(f"{what} must be an integer >= {lowest}, got {value!r}")
 
 
+def _check_vector(t: Optional[Tensor], n: int, what: str) -> None:
+    """Reject a parameter vector that is not [n]; None passes."""
+    if t is not None and t.shape != (n,):
+        raise ShapeError(f"{what} has shape {t.shape}, expected ({n},)")
+
+
 def _kernel_shape(p: Conv2dParams, c_in: int, what: str) -> tuple:
     """The [C_out, C_in, kh, kw] shape of `p`'s weights, checked against an
-    input of `c_in` channels."""
+    input of `c_in` channels, and against the bias."""
     if p.weights.ndim != 4:
         raise ShapeError(f"{what} weights must be [C_out,C_in,kh,kw], got {p.weights.shape}")
     if p.weights.shape[1] != c_in:
         raise ShapeError(f"input has {c_in} channels, kernel expects {p.weights.shape[1]}")
+    _check_vector(p.bias, p.weights.shape[0], f"{what} bias")
     return p.weights.shape
 
 
@@ -90,25 +106,61 @@ def _im2col(x: np.ndarray, kh: int, kw: int, s: int, off: int, out_hw: tuple) ->
     return windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h * w)
 
 
-def _scatter_taps(taps: np.ndarray, s: int, off: int, hw: tuple) -> np.ndarray:
-    """Zero canvas [B,C,*hw] plus every tap plane ``taps[:, :, i, j]`` of a
-    [B,C,kh,kw,h,w] array, the one at (y, x) landing at row ``off + i + s*y``
-    and column ``off + j + s*x``: col2im at stride `s`."""
-    b, c, kh, kw, h, w = taps.shape
-    canvas = np.zeros((b, c) + hw)
+def _scatter_taps(taps: np.ndarray, s: int, off: int, canvas: np.ndarray) -> None:
+    """Add every tap plane ``taps[:, :, i, j]`` of a [B,C,kh,kw,h,w] array
+    onto `canvas` [B,C,H',W'] in place, the one at (y, x) landing at row
+    ``off + i + s*y`` and column ``off + j + s*x``: col2im at stride `s`.
+    :func:`unpool_conv2d` passes a zero canvas; :func:`conv2d` passes each
+    block's rows of one shared padded-gradient canvas, so the rows that two
+    blocks share add up."""
+    kh, kw, h, w = taps.shape[2:]
     for i in range(kh):
         for j in range(kw):
             canvas[:, :, off + i:off + i + s * h:s, off + j:off + j + s * w:s] += taps[:, :, i, j]
-    return canvas
+
+
+def _blocks(b: int, ho: int, row_bytes: int) -> list:
+    """The (images, output rows) slices that :func:`conv2d` works in, for a
+    batch of `b` images of `ho` output rows whose columns take `row_bytes`
+    per output row: groups of whole images when one image's columns fit
+    :data:`_BLOCK_BYTES`, otherwise runs of one image's output rows."""
+    if row_bytes * ho <= _BLOCK_BYTES:
+        n = _BLOCK_BYTES // (row_bytes * ho)
+        return [(slice(i, min(i + n, b)), slice(0, ho)) for i in range(0, b, n)]
+    n = max(1, _BLOCK_BYTES // row_bytes)
+    return [(slice(i, i + 1), slice(y, min(y + n, ho))) for i in range(b) for y in range(0, ho, n)]
+
+
+def _padded_rows(data: np.ndarray, imgs: slice, rows: slice, s: int, kh: int,
+                 pad: int) -> np.ndarray:
+    """The zero-padded input rows ``s*rows.start`` to ``s*(rows.stop-1) + kh``
+    of images `imgs`: all that output `rows` read. A view of `data` when
+    there is no padding."""
+    h = data.shape[2]
+    top = s * rows.start - pad
+    bottom = s * (rows.stop - 1) + kh - pad
+    part = data[imgs, :, max(top, 0):min(bottom, h)]
+    if not pad:
+        return part
+    return np.pad(part, ((0, 0), (0, 0), (max(-top, 0), max(bottom - h, 0)), (pad, pad)))
 
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """Strided cross-correlation with symmetric zero padding.
 
-    The tape keeps the padded input, not its im2col columns, which are up
-    to kh*kw times larger: backward rebuilds the columns for the weight
-    gradient, then reuses that buffer for the input gradient's columns. An
-    untracked input gets no gradient.
+    Works in blocks whose im2col columns take at most :data:`_BLOCK_BYTES`:
+    groups of whole images when one image's columns fit, otherwise runs of
+    one image's output rows. Each block pads only the input rows it reads
+    and matmuls its columns straight into its slice of the output, so no
+    padded copy of the whole input and no columns of the whole batch are
+    built. A conv that fits the budget is one block.
+
+    When the op records, the tape keeps each block's padded rows, about
+    the size of the padded input and up to kh*kw times smaller than the
+    columns. Backward rebuilds each block's columns for the weight
+    gradient, summed over blocks, then reuses that buffer for the input
+    gradient's columns, whose taps land in one shared padded-gradient
+    canvas. An untracked input gets no gradient.
     """
     data = _check_4d(x, "conv2d")
     _require_int(p.stride, 1, "conv2d stride")
@@ -121,26 +173,52 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     if ho < 1 or wo < 1:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h}x{w} (pad {pad})")
 
-    padded = np.pad(data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else data
     w2 = p.weights.data.reshape(c_out, c_in * kh * kw)
-    out = np.matmul(w2, _im2col(padded, kh, kw, s, 0, (ho, wo))).reshape(b, c_out, ho, wo)
+    blocks = _blocks(b, ho, c_in * kh * kw * wo * data.itemsize)
+    keep = needs_grad(x) or needs_grad(p.weights) or needs_grad(p.bias)
+    kept = []
+    out = np.empty((b, c_out, ho, wo))
+    out3 = out.reshape(b, c_out, ho * wo)
+    for imgs, rows in blocks:
+        padded = _padded_rows(data, imgs, rows, s, kh, pad)
+        cols = _im2col(padded, kh, kw, s, 0, (rows.stop - rows.start, wo))
+        np.matmul(w2, cols, out=out3[imgs, :, rows.start * wo:rows.stop * wo])
+        del cols    # before the next block builds its own
+        if keep:
+            kept.append(padded)
     if p.bias is not None:
         out += p.bias.data[None, :, None, None]
 
-    hp, wp = padded.shape[2], padded.shape[3]
+    hp, wp = h + 2 * pad, w + 2 * pad
     track_x = needs_grad(x)
 
     def bwd(og):
-        og4 = og.reshape(b, c_out, ho * wo)
-        cols = _im2col(padded, kh, kw, s, 0, (ho, wo))
-        # batched matmul, not einsum: this einsum does not reach BLAS and measured 15x slower
-        d_w = np.matmul(og4, cols.transpose(0, 2, 1)).sum(axis=0).reshape(p.weights.shape)
-        d_b = og4.sum(axis=(0, 2)) if p.bias is not None else None
+        og3 = og.reshape(b, c_out, ho * wo)
+        d_w = None
+        d_padded = np.zeros((b, c_in, hp, wp)) if track_x else None
+        for (imgs, rows), padded in zip(blocks, kept):
+            n = rows.stop - rows.start
+            og_block = og3[imgs, :, rows.start * wo:rows.stop * wo]
+            cols = _im2col(padded, kh, kw, s, 0, (n, wo))
+            # batched matmul, not einsum: this einsum does not reach BLAS and measured 15x slower
+            part = np.matmul(og_block, cols.transpose(0, 2, 1))
+            # one image needs no sum, which would copy it; several are summed
+            # at once, so d_w never keeps a whole [n, C_out, K] product alive
+            part = part.sum(axis=0) if len(part) > 1 else part[0]
+            if d_w is None:
+                d_w = part
+            else:
+                d_w += part
+            if track_x:
+                # for 1x1 kernels at stride 1 the columns are a read-only view of the input
+                d_cols = np.matmul(w2.T, og_block, out=cols if cols.flags.writeable else None)
+                top = s * rows.start
+                _scatter_taps(d_cols.reshape(-1, c_in, kh, kw, n, wo), s, 0,
+                              d_padded[imgs, :, top:top + padded.shape[2]])
+        d_b = og3.sum(axis=(0, 2)) if p.bias is not None else None
+        d_w = d_w.reshape(p.weights.shape)
         if not track_x:
             return None, d_w, d_b
-        # for 1x1 kernels at stride 1 the columns are a read-only view of the input
-        d_cols = np.matmul(w2.T, og4, out=cols if cols.flags.writeable else None)
-        d_padded = _scatter_taps(d_cols.reshape(b, c_in, kh, kw, ho, wo), s, 0, (hp, wp))
         d_x = d_padded[:, :, pad:hp - pad, pad:wp - pad] if pad else d_padded
         return d_x, d_w, d_b
 
@@ -195,7 +273,9 @@ def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
     a = p.weights.data[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(c_out * kh * kw, c_in)
     x3 = data.reshape(b, c_in, h * w)
     taps = np.matmul(a, x3).reshape(b, c_out, kh, kw, h, w)
-    canvas = _scatter_taps(taps, k, off, (hc, wc))[:, :, start:start + ho, start:start + wo]
+    canvas = np.zeros((b, c_out, hc, wc))
+    _scatter_taps(taps, k, off, canvas)
+    canvas = canvas[:, :, start:start + ho, start:start + wo]
     out = canvas + p.bias.data[None, :, None, None] if p.bias is not None else canvas.copy()
 
     def bwd(og):
@@ -219,8 +299,8 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: str = "train") -> Tensor:
         raise ArgumentError(f"unknown batchnorm mode {mode!r}")
     data = _check_4d(x, "batchnorm")
     c = data.shape[1]
-    if p.gamma.shape != (c,):
-        raise ShapeError(f"gamma has shape {p.gamma.shape}, input has {c} channels")
+    for name in ("gamma", "beta", "running_mean", "running_var"):
+        _check_vector(getattr(p, name), c, f"batchnorm {name}")
     axes = (0, 2, 3)
     n = data.size // c
     gamma = p.gamma.data[:, None, None]
@@ -275,6 +355,7 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     in_dim = p.weights.shape[1]
     if x.shape[1] != in_dim:
         raise ShapeError(f"input has {x.shape[1]} features, weights expect {in_dim}")
+    _check_vector(p.bias, p.weights.shape[0], "linear bias")
     w = p.weights.data
     x_data = x.data
     out = x_data @ w.T

@@ -265,7 +265,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
+    shape = _validate_shape(shape)
     if int(np.prod(shape)) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} into {shape}")
     in_shape = a.shape

@@ -162,6 +162,77 @@ class TestConv2d:
         assert np.all(d_x[:, :, :7, :7] != 0.0)
 
 
+class TestConv2dBlocks:
+    """conv2d in several blocks, forced by lowering the columns' byte budget,
+    against the same conv in one block."""
+
+    @staticmethod
+    def run(x_data, w_data, b_data, stride, pad):
+        x = T.Tensor(x_data, requires_grad=True)
+        p = conv_params(w_data, b_data, stride, pad)
+        with T.Graph():
+            out = nn.conv2d(x, p)
+            T.backward(sum_all(T.sigmoid(out)))
+        return out.data, x.grad, p.weights.grad, p.bias.grad
+
+    @pytest.mark.parametrize("split", ["rows", "row", "images"])
+    @pytest.mark.parametrize("k, stride, pad", [(1, 1, 0), (3, 2, 1), (5, 1, 2), (5, 2, 2)])
+    def test_blocks_match_one_block(self, k, stride, pad, split, monkeypatch):
+        rng = np.random.default_rng(15)
+        x_data = rng.normal(size=(3, 2, 7, 7))
+        w_data = rng.normal(size=(3, 2, k, k)) * 0.5
+        b_data = rng.normal(size=(3,))
+        whole = self.run(x_data, w_data, b_data, stride, pad)
+
+        ho = wo = nn.conv_output_size(7, k, stride, pad)
+        row_bytes = 2 * k * k * wo * 8
+        budget = {"rows": 2 * row_bytes, "row": 1, "images": 2 * ho * row_bytes}[split]
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
+        blocks = nn._blocks(3, ho, row_bytes)
+        if split == "images":
+            assert [(i.start, i.stop) for i, _ in blocks] == [(0, 2), (2, 3)]
+        else:
+            assert len(blocks) == 3 * -(-ho // {"rows": 2, "row": 1}[split])
+        for got, want in zip(self.run(x_data, w_data, b_data, stride, pad), whole):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_row_blocks_gradients_match_finite_differences(self, monkeypatch):
+        # 5x5 at stride 1: adjacent blocks of 2 output rows share 4 input rows
+        rng = np.random.default_rng(16)
+        x_data = rng.normal(size=(2, 2, 7, 6))
+        w_data = rng.normal(size=(3, 2, 5, 5)) * 0.5
+        b_data = rng.normal(size=(3,))
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", 2 * (2 * 25 * 6 * 8))
+        assert len(nn._blocks(2, 7, 2 * 25 * 6 * 8)) == 8
+        _, d_x, d_w, d_b = self.run(x_data, w_data, b_data, 1, 2)
+
+        def loss(xd, wd, bd):
+            p = conv_params(wd, bd, 1, 2, grad=False)
+            return sum_all(T.sigmoid(nn.conv2d(T.Tensor(xd), p))).item()
+
+        x_coords = [(i, c, r, q) for i in range(2) for c in range(2) for r in range(7)
+                    for q in (0, 3)]
+        check_grad(lambda xd: loss(xd, w_data, b_data), x_data, d_x, coords=x_coords, tol=1e-4)
+        check_grad(lambda wd: loss(x_data, wd, b_data), w_data, d_w, n_coords=20, tol=1e-4)
+        check_grad(lambda bd: loss(x_data, w_data, bd), b_data, d_b, n_coords=3, tol=1e-4)
+
+    def test_no_graph_conv_peaks_below_its_columns(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        x = T.Tensor(rng.normal(size=(2, 8, 32, 32)))
+        p = conv_params(rng.normal(size=(4, 8, 3, 3)), rng.normal(size=(4,)), padding=1, grad=False)
+        budget = 64 * 1024
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
+        out, _, peak = traced_bytes(lambda: nn.conv2d(x, p))
+        columns = 2 * 8 * 9 * 32 * 32 * 8      # [2,8*3*3,32*32]
+        assert peak <= out.data.nbytes + 2 * budget + SLACK < columns
+
+    def test_paper_encoder_block_counts(self):
+        # (c_in, kernel, output side) of the paper encoder's layers at B=2
+        layers = [(3, 5, 112), (64, 3, 56), (128, 3, 28), (256, 3, 14), (512, 3, 7)]
+        counts = [len(nn._blocks(2, ho, c_in * k * k * ho * 8)) for c_in, k, ho in layers]
+        assert counts == [4, 8, 4, 2, 1]
+
+
 class TestUnpool:
     def test_top_left_rule_bit_exact(self):
         out = nn.unpool(T.Tensor([[[[7.5]]]]), 2)
@@ -263,6 +334,15 @@ def _unpool_conv_call(k=2, stride=1, padding=0):
                                     conv_params(np.zeros((1, 1, 3, 3)), None, stride, padding), k)
 
 
+def _bn_call(**lengths):
+    """Infer-mode batchnorm of 3 channels, with the named vectors' lengths
+    replaced."""
+    n = {"gamma": 3, "beta": 3, "running_mean": 3, "running_var": 3, **lengths}
+    p = nn.BatchNormParams(T.full([n["gamma"]], 1.0), T.zeros([n["beta"]]),
+                           T.zeros([n["running_mean"]]), T.full([n["running_var"]], 1.0))
+    return nn.batchnorm(T.zeros([2, 3, 2, 2]), p, "infer")
+
+
 BAD_ARGUMENTS = {
     "conv2d.stride0": (_conv_call(stride=0), ArgumentError),
     "conv2d.stride-1": (_conv_call(stride=-1), ArgumentError),
@@ -285,6 +365,19 @@ BAD_ARGUMENTS = {
                          ShapeError),
     "batchnorm.mode": (lambda: nn.batchnorm(T.zeros([2, 1, 2, 2]), nn.BatchNormParams(
         T.full([1], 1.0), T.zeros([1]), T.zeros([1]), T.full([1], 1.0)), "eval"), ArgumentError),
+    "conv2d.bias2": (lambda: nn.conv2d(T.zeros([1, 1, 4, 4]),
+                                       conv_params(np.zeros((4, 1, 3, 3)), np.zeros(2))),
+                     ShapeError),
+    "unpool_conv2d.bias2": (lambda: nn.unpool_conv2d(T.zeros([1, 1, 4, 4]),
+                                                     conv_params(np.zeros((4, 1, 3, 3)), np.zeros(2)),
+                                                     2),
+                            ShapeError),
+    "linear.bias5": (lambda: nn.linear(T.zeros([1, 2]), nn.LinearParams(T.zeros([4, 2]),
+                                                                          T.zeros([5]))),
+                     ShapeError),
+    "batchnorm.beta2": (lambda: _bn_call(beta=2), ShapeError),
+    "batchnorm.running_mean2": (lambda: _bn_call(running_mean=2), ShapeError),
+    "batchnorm.running_var2": (lambda: _bn_call(running_var=2), ShapeError),
 }
 
 

@@ -235,3 +235,10 @@ class TestStructural:
     def test_reshape_bad_size(self):
         with pytest.raises(ShapeError):
             T.reshape(T.zeros([2, 3]), (4,))
+
+    @pytest.mark.parametrize("shape", [(2.5, 4), (True, 8), ("8",), (-2, -4)],
+                             ids=["float", "bool", "str", "negative"])
+    def test_reshape_bad_dimensions(self, shape):
+        # each of these has 8 elements, or truncates to a shape that does
+        with pytest.raises(ShapeError):
+            T.reshape(T.zeros([2, 4]), shape)
