@@ -168,12 +168,9 @@ class TestConv2dBlocks:
 
     @staticmethod
     def run(x_data, w_data, b_data, stride, pad):
-        x = T.Tensor(x_data, requires_grad=True)
-        p = conv_params(w_data, b_data, stride, pad)
-        with T.Graph():
-            out = nn.conv2d(x, p)
-            T.backward(sum_all(T.sigmoid(out)))
-        return out.data, x.grad, p.weights.grad, p.bias.grad
+        """The output of a conv without a tape, then its three gradients."""
+        out = nn.conv2d(T.Tensor(x_data), conv_params(w_data, b_data, stride, pad, grad=False))
+        return (out.data,) + TestConv2d.sigmoid_sum_grads(x_data, w_data, b_data, stride, pad)
 
     @pytest.mark.parametrize("split", ["rows", "row", "images"])
     @pytest.mark.parametrize("k, stride, pad", [(1, 1, 0), (3, 2, 1), (5, 1, 2), (5, 2, 2)])
