@@ -310,9 +310,10 @@ class RefineNet:
     def run_refinement(self, images: Tensor, r0: Tensor, n: int = DEFAULT_ITERATIONS,
                        mode: str = "infer"):
         """Full rollout: iteration 0 observes the whole image; each later
-        iteration attends, encodes, updates both recurrent states, and
-        accumulates a refinement delta. Returns the final sigmoid map and
-        the per-iteration trace."""
+        iteration attends, encodes, updates the first recurrent state, and
+        accumulates a refinement delta, then (but for the last) updates the
+        second state and picks the next window. Returns the final sigmoid
+        map and the per-iteration trace."""
         nn._require_int(n, 1, "refinement iterations n")
         x = _check_images(images, self.preset)
         b = x.shape[0]
@@ -326,14 +327,16 @@ class RefineNet:
         trace.windows.append(np.tile([1.0, 0.0, 0.0], (b, 1)))
         trace.maps.append(r.data.copy())
 
-        for _ in range(1, n):
+        for i in range(1, n):
             z = self.encoder(self.attend(x, tau), mode)
             h1 = self.conv_recurrent_step(z, h1)
             r = self.refine_step(r, h1, tau, mode)
-            h2 = self.fc_recurrent_step(h1, h2)
             trace.windows.append(tau.data.copy())
             trace.maps.append(r.data.copy())
-            tau = self.localize(h2)
+            if i < n - 1:
+                # after the last refine step, nothing reads the next state or window
+                h2 = self.fc_recurrent_step(h1, h2)
+                tau = self.localize(h2)
 
         trace.raw_final = r
         return T.sigmoid(r), trace

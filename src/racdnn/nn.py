@@ -239,6 +239,13 @@ def unpool(x: Tensor, k: int) -> Tensor:
     return record(out, [x], bwd)
 
 
+def _flipped(weights: np.ndarray) -> np.ndarray:
+    """The [C_out*kh*kw, C_in] copy ``a[(o,i,j), c] = weights[o, c, kh-1-i, kw-1-j]``
+    of `weights` [C_out, C_in, kh, kw]."""
+    c_out, c_in, kh, kw = weights.shape
+    return weights[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(c_out * kh * kw, c_in)
+
+
 def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
     """``conv2d(unpool(x, k), p)`` at stride 1, without the unpooled zeros.
 
@@ -269,10 +276,10 @@ def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
     hc = max(off + k * (h - 1) + kh, start + ho)
     wc = max(off + k * (w - 1) + kw, start + wo)
 
-    # a[(o,i,j), c] = weights[o, c, kh-1-i, kw-1-j]
-    a = p.weights.data[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(c_out * kh * kw, c_in)
+    # the tape keeps the weights array, and backward flips it again
+    wd = p.weights.data
     x3 = data.reshape(b, c_in, h * w)
-    taps = np.matmul(a, x3).reshape(b, c_out, kh, kw, h, w)
+    taps = np.matmul(_flipped(wd), x3).reshape(b, c_out, kh, kw, h, w)
     canvas = np.zeros((b, c_out, hc, wc))
     _scatter_taps(taps, k, off, canvas)
     canvas = canvas[:, :, start:start + ho, start:start + wo]
@@ -282,7 +289,7 @@ def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
         og_canvas = np.zeros((b, c_out, hc, wc))
         og_canvas[:, :, start:start + ho, start:start + wo] = og
         cols = _im2col(og_canvas, kh, kw, k, off, (h, w))
-        d_x = np.matmul(a.T, cols).reshape(data.shape)
+        d_x = np.matmul(_flipped(wd).T, cols).reshape(data.shape)
         d_a = np.matmul(cols, x3.transpose(0, 2, 1)).sum(axis=0)
         d_w = d_a.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
         d_b = og.sum(axis=(0, 2, 3)) if p.bias is not None else None

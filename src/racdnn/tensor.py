@@ -9,8 +9,13 @@ accumulates gradients into the ``grad`` slot of every reachable leaf.
 
 Ops follow one rule: a closure keeps only what its gradients read, and an
 op computes no gradient for an input that :func:`needs_grad` reports
-untracked, returning None in that slot. An op with one input meets the
-second half for free, because with no tracked input it records nothing.
+untracked, returning None in that slot. What backward can rebuild from an
+array that lives anyway, an input or a weight, it rebuilds instead of
+keeping a copy: ``attention.bilinear_sample`` keeps its source by
+reference and its 1-D taps, not per-pixel planes, and
+``nn.unpool_conv2d`` keeps its weights, not their flipped copy. An op with
+one input meets the second half of the rule for free, because with no
+tracked input it records nothing.
 ``nn.conv2d`` checks its input and ``attention.bilinear_sample`` its source
 and its grid, because an image or a fixed grid is often untracked there;
 the other ops with several inputs pass the output gradient through, or

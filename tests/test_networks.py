@@ -31,8 +31,8 @@ UNBATCHED = {
     "unpool_conv2d": lambda: nn.unpool_conv2d(T.zeros([1, 2, 2]),
                                               nn.Conv2dParams(T.zeros([1, 1, 1, 1]), None), 2),
     "linear": lambda: nn.linear(T.zeros([2]), nn.LinearParams(T.zeros([1, 2]), None)),
-    "bilinear_sample.source": lambda: at.bilinear_sample(T.zeros([1, 4, 4]), np.zeros((1, 2, 2, 2))),
-    "bilinear_sample.grid": lambda: at.bilinear_sample(T.zeros([1, 1, 4, 4]), np.zeros((2, 2, 2))),
+    "bilinear_sample.source": lambda: at.bilinear_sample(T.zeros([1, 4, 4]), np.zeros((1, 4)), 2),
+    "bilinear_sample.grid": lambda: at.bilinear_sample(T.zeros([1, 1, 4, 4]), np.zeros(4), 2),
     "affine_grid": lambda: at.affine_grid(T.Tensor([1.0, 0.0, 0.0]), 2, 2),
     "constrain_attention": lambda: at.constrain_attention(T.zeros([3])),
     "inverse_support": lambda: at.inverse_support(T.Tensor([1.0, 0.0, 0.0]), 2, 2, 2, 2),
@@ -352,6 +352,56 @@ class TestRunRefinement:
             s_r, _ = refine.run_refinement(imgs, r0, n=4)
             outs.append(s_r.data)
         assert outs[0].tobytes() == outs[1].tobytes()
+
+    @staticmethod
+    def unskipped_rollout(refine, imgs, r0, n, mode):
+        """The rollout that also updates the second state and picks a window
+        after the last refine step: its final map and the trace's windows."""
+        (h1, h2), tau = refine.init_state(imgs, mode)
+        r, windows = r0, []
+        for _ in range(1, n):
+            h1 = refine.conv_recurrent_step(refine.encoder(refine.attend(imgs, tau), mode), h1)
+            r = refine.refine_step(r, h1, tau, mode)
+            windows.append(tau.data.copy())
+            h2 = refine.fc_recurrent_step(h1, h2)
+            tau = refine.localize(h2)
+        return r, windows
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 9])
+    def test_no_window_is_picked_after_the_last_refine_step(self, n, monkeypatch):
+        p, init, refine = make_nets("tiny", seed=37)
+        imgs = rand_images(p, seed=38)
+        r0, _ = init.initial_saliency(imgs)
+        calls = {"localize": 0, "fc_recurrent_step": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(refine, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(refine, name, counted)
+        _, trace = refine.run_refinement(imgs, r0, n=n)
+        # one for the whole-image observation, one before each later iteration
+        assert calls == {"localize": max(1, n - 1), "fc_recurrent_step": max(1, n - 1)}
+        assert len(trace.windows) == n
+
+    def test_skipped_window_changes_no_map_window_or_gradient(self):
+        p, init, refine = make_nets("tiny", seed=39)
+        imgs = rand_images(p, seed=40)
+        r0 = init.forward_raw(imgs).data
+        target = (np.random.default_rng(41).uniform(size=(2, 1, 16, 16)) > 0.5).astype(float)
+        runs = []
+        for rollout in ("library", "unskipped"):
+            params = refine.parameters()
+            T.zero_grads(params)
+            with T.Graph():
+                if rollout == "library":
+                    _, trace = refine.run_refinement(imgs, T.Tensor(r0), n=4, mode="train")
+                    r, windows = trace.raw_final, trace.windows[1:]
+                else:
+                    r, windows = self.unskipped_rollout(refine, imgs, T.Tensor(r0), 4, "train")
+                T.backward(N.refinement_loss(r, target))
+            grads = {k: None if t.grad is None else t.grad.tobytes() for k, t in params.items()}
+            runs.append((r.data.tobytes(), [w.tobytes() for w in windows], grads))
+        assert runs[0] == runs[1]
 
     def test_invalid_n(self):
         p, init, refine = make_nets("tiny")

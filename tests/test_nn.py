@@ -320,6 +320,15 @@ class TestUnpoolConv2d:
         with pytest.raises(ShapeError):
             nn.unpool_conv2d(T.zeros([1, 2, 4, 4]), conv_params(np.zeros((1, 3, 3, 3))), 2)
 
+    def test_tape_keeps_no_copy_of_the_weights(self):
+        rng = np.random.default_rng(23)
+        x = T.Tensor(rng.normal(size=(2, 16, 4, 4)), requires_grad=True)
+        p = conv_params(rng.normal(size=(16, 16, 5, 5)), rng.normal(size=(16,)), padding=2)
+        with T.Graph():
+            out, kept, _ = traced_bytes(lambda: nn.unpool_conv2d(x, p, 2))
+        flipped = p.weights.data.nbytes    # [16*5*5, 16] float64
+        assert kept <= out.data.nbytes + SLACK < out.data.nbytes + flipped
+
 
 def _conv_call(stride=1, padding=0):
     return lambda: nn.conv2d(T.zeros([1, 1, 4, 4]), conv_params(np.zeros((1, 1, 3, 3)), None,
