@@ -9,10 +9,11 @@ columns fit :data:`_BLOCK_BYTES`, otherwise a run of one image's output
 rows, so the columns of the whole batch never exist at once. When it
 records, :func:`conv2d` keeps each block's zero-padded input rows, and
 backward rebuilds the columns from them. The decoder's unpool then
-stride-1 convolution is one op, :func:`unpool_conv2d`: a
-transposed convolution that never builds the unpooled zeros, equal to
-``conv2d(unpool(x, k), p)``, which stays as its reference. A stride,
-padding or unpool factor that is not an integer in range raises
+stride-1 convolution is one op, :func:`unpool_conv2d`: a transposed
+convolution that never builds the unpooled zeros, equal to
+``conv2d(unpool(x, k), p)``, which stays as its reference. Its padding
+is at most ``min(kh, kw) - 1``. A stride, padding or unpool factor that
+is not an integer in range raises
 :class:`~racdnn.errors.ArgumentError`; weights of the wrong rank, and a
 bias or batchnorm vector of the wrong length, raise
 :class:`~racdnn.errors.ShapeError`. The loss is one binary
@@ -93,30 +94,30 @@ def _kernel_shape(p: Conv2dParams, c_in: int, what: str) -> tuple:
     return p.weights.shape
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, s: int, off: int, out_hw: tuple) -> np.ndarray:
+def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple) -> np.ndarray:
     """Columns [B, C*kh*kw, h*w] of the kh x kw windows of `x` [B,C,H,W]
-    whose top-left corners sit at row ``off + s*y`` and column ``off + s*x``
-    for (y, x) on the `out_hw` lattice: im2col at stride `s`, the gather
+    whose top-left corners sit at row ``s*y`` and column ``s*x`` for (y, x)
+    on the `out_hw` lattice: im2col at stride `s`, the gather
     that :func:`_scatter_taps` undoes. A read-only view of `x` when no copy
     is needed (1x1 windows at stride 1), a fresh array otherwise."""
     b, c = x.shape[:2]
     h, w = out_hw
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, off:off + s * h:s, off:off + s * w:s]   # [B,C,h,w,kh,kw]
+    windows = windows[:, :, :s * h:s, :s * w:s]   # [B,C,h,w,kh,kw]
     return windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h * w)
 
 
-def _scatter_taps(taps: np.ndarray, s: int, off: int, canvas: np.ndarray) -> None:
+def _scatter_taps(taps: np.ndarray, s: int, canvas: np.ndarray) -> None:
     """Add every tap plane ``taps[:, :, i, j]`` of a [B,C,kh,kw,h,w] array
     onto `canvas` [B,C,H',W'] in place, the one at (y, x) landing at row
-    ``off + i + s*y`` and column ``off + j + s*x``: col2im at stride `s`.
+    ``i + s*y`` and column ``j + s*x``: col2im at stride `s`.
     :func:`unpool_conv2d` passes a zero canvas; :func:`conv2d` passes each
     block's rows of one shared padded-gradient canvas, so the rows that two
     blocks share add up."""
     kh, kw, h, w = taps.shape[2:]
     for i in range(kh):
         for j in range(kw):
-            canvas[:, :, off + i:off + i + s * h:s, off + j:off + j + s * w:s] += taps[:, :, i, j]
+            canvas[:, :, i:i + s * h:s, j:j + s * w:s] += taps[:, :, i, j]
 
 
 def _blocks(b: int, ho: int, row_bytes: int) -> list:
@@ -181,7 +182,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     out3 = out.reshape(b, c_out, ho * wo)
     for imgs, rows in blocks:
         padded = _padded_rows(data, imgs, rows, s, kh, pad)
-        cols = _im2col(padded, kh, kw, s, 0, (rows.stop - rows.start, wo))
+        cols = _im2col(padded, kh, kw, s, (rows.stop - rows.start, wo))
         np.matmul(w2, cols, out=out3[imgs, :, rows.start * wo:rows.stop * wo])
         del cols    # before the next block builds its own
         if keep:
@@ -199,7 +200,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         for (imgs, rows), padded in zip(blocks, kept):
             n = rows.stop - rows.start
             og_block = og3[imgs, :, rows.start * wo:rows.stop * wo]
-            cols = _im2col(padded, kh, kw, s, 0, (n, wo))
+            cols = _im2col(padded, kh, kw, s, (n, wo))
             # batched matmul, not einsum: this einsum does not reach BLAS and measured 15x slower
             part = np.matmul(og_block, cols.transpose(0, 2, 1))
             # one image needs no sum, which would copy it; several are summed
@@ -213,7 +214,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
                 # for 1x1 kernels at stride 1 the columns are a read-only view of the input
                 d_cols = np.matmul(w2.T, og_block, out=cols if cols.flags.writeable else None)
                 top = s * rows.start
-                _scatter_taps(d_cols.reshape(-1, c_in, kh, kw, n, wo), s, 0,
+                _scatter_taps(d_cols.reshape(-1, c_in, kh, kw, n, wo), s,
                               d_padded[imgs, :, top:top + padded.shape[2]])
         d_b = og3.sum(axis=(0, 2)) if p.bias is not None else None
         d_w = d_w.reshape(p.weights.shape)
@@ -253,7 +254,9 @@ def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
     each input value, times the flipped kernel, is added onto the output at
     stride `k`. Forward is one matmul at input resolution and a tap scatter;
     backward gathers the output gradient's windows at stride `k`. Only the
-    order of the float64 sums differs from the composition.
+    order of the float64 sums differs from the composition. The padding
+    may not exceed the kernel's reach, ``min(kh, kw) - 1``, as no network
+    conv's ``kernel // 2`` does; a larger one raises ArgumentError.
     """
     data = _check_4d(x, "unpool_conv2d")
     _require_int(k, 1, "unpool factor")
@@ -263,32 +266,32 @@ def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
     b, c_in, h, w = data.shape
     c_out, _, kh, kw = _kernel_shape(p, c_in, "unpool_conv2d")
     pad = p.padding
+    if pad > min(kh, kw) - 1:
+        raise ArgumentError(f"unpool_conv2d padding {pad} exceeds the reach of a {kh}x{kw} kernel")
     ho = conv_output_size(h * k, kh, 1, pad)
     wo = conv_output_size(w * k, kw, 1, pad)
     if ho < 1 or wo < 1:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h * k}x{w * k} (pad {pad})")
 
-    # canvas geometry: flipped tap (i, j) of input (y, x) lands at
-    # (off + k*y + i, off + k*x + j); output row 0 is canvas row `start`
-    # (off > 0 only when the padding exceeds the kernel's reach)
-    off = max(0, pad - (kh - 1))
-    start = off + (kh - 1) - pad
-    hc = max(off + k * (h - 1) + kh, start + ho)
-    wc = max(off + k * (w - 1) + kw, start + wo)
+    # the canvas is the full correlation of the unpooled input: flipped tap
+    # (i, j) of input (y, x) lands at (k*y + i, k*x + j), and the output
+    # starts at canvas row kh-1-pad and column kw-1-pad
+    top, left = kh - 1 - pad, kw - 1 - pad
+    hc, wc = k * h + kh - 1, k * w + kw - 1
 
     # the tape keeps the weights array, and backward flips it again
     wd = p.weights.data
     x3 = data.reshape(b, c_in, h * w)
     taps = np.matmul(_flipped(wd), x3).reshape(b, c_out, kh, kw, h, w)
     canvas = np.zeros((b, c_out, hc, wc))
-    _scatter_taps(taps, k, off, canvas)
-    canvas = canvas[:, :, start:start + ho, start:start + wo]
+    _scatter_taps(taps, k, canvas)
+    canvas = canvas[:, :, top:top + ho, left:left + wo]
     out = canvas + p.bias.data[None, :, None, None] if p.bias is not None else canvas.copy()
 
     def bwd(og):
         og_canvas = np.zeros((b, c_out, hc, wc))
-        og_canvas[:, :, start:start + ho, start:start + wo] = og
-        cols = _im2col(og_canvas, kh, kw, k, off, (h, w))
+        og_canvas[:, :, top:top + ho, left:left + wo] = og
+        cols = _im2col(og_canvas, kh, kw, k, (h, w))
         d_x = np.matmul(_flipped(wd).T, cols).reshape(data.shape)
         d_a = np.matmul(cols, x3.transpose(0, 2, 1)).sum(axis=0)
         d_w = d_a.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]

@@ -1,11 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A :class:`Graph` is a per-pass tape. While a graph is active (``with
-Graph():``), every differentiable operation appends a node holding the ids
-of its tracked inputs and a closure that maps the output gradient to input
-gradients. The tape is appended in execution order, so it is already
-topologically sorted; :func:`backward` walks it once in reverse and
-accumulates gradients into the ``grad`` slot of every reachable leaf.
+A :class:`Graph` is a per-pass tape of op nodes. While a graph is active
+(``with Graph():``), every differentiable operation with a tracked input
+appends its inputs and a closure that maps the output gradient to input
+gradients. Each input is the node id of an op output recorded on this
+graph, a leaf tensor that takes a gradient (``requires_grad``), or None.
+Only op outputs point at the tape, so it lives exactly as long as some
+output of its pass, whether or not backward ran. The tape is appended in
+execution order, so it is already topologically sorted; :func:`backward`
+walks it once in reverse and adds each leaf's gradient into its ``grad``
+slot as it runs the op that read the leaf.
 
 Ops follow one rule: a closure keeps only what its gradients read, and an
 op computes no gradient for an input that :func:`needs_grad` reports
@@ -42,22 +46,11 @@ def _active_graph() -> Optional["Graph"]:
     return getattr(_tls, "graph", None)
 
 
-class _Node:
-    """One tape entry: a leaf (parameter/input) or a recorded operation."""
-
-    __slots__ = ("inputs", "backward", "tensor")
-
-    def __init__(self, inputs, backward, tensor=None):
-        self.inputs = inputs
-        self.backward = backward
-        self.tensor = tensor
-
-
 class Graph:
-    """Append-only computation tape, confined to one thread per pass."""
+    """Append-only tape of op nodes, confined to one thread per pass."""
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple[tuple, Callable]] = []
 
     def __enter__(self) -> "Graph":
         if _active_graph() is not None:
@@ -72,19 +65,14 @@ class Graph:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _leaf_id(self, t: "Tensor") -> Optional[int]:
-        """Node id of `t` in this graph, registering leaves lazily."""
+    def _input(self, t) -> Optional[int | Tensor]:
+        """Input `t` as a node holds it: the node id of an op output recorded
+        here, the tensor itself for a leaf that takes a gradient, or None."""
+        if not isinstance(t, Tensor):
+            return None
         if t._node is not None and t._node[0] is self:
             return t._node[1]
-        if t.requires_grad:
-            self._nodes.append(_Node((), None, t))
-            t._node = (self, len(self._nodes) - 1)
-            return t._node[1]
-        return None
-
-    def _add_op(self, input_ids, backward_fn) -> int:
-        self._nodes.append(_Node(input_ids, backward_fn))
-        return len(self._nodes) - 1
+        return t if t.requires_grad else None
 
 
 class Tensor:
@@ -120,31 +108,33 @@ class Tensor:
 
 
 def needs_grad(t) -> bool:
-    """True when a graph is active and `t` is a tensor tracked on it: the
-    test :meth:`Graph._leaf_id` applies, without registering a leaf."""
+    """True when a graph is active and `t` is tracked on it: an op output
+    recorded there, or a leaf that takes a gradient. The test
+    :func:`record` applies to each input."""
     g = _active_graph()
-    return g is not None and isinstance(t, Tensor) and (
-        t.requires_grad or (t._node is not None and t._node[0] is g))
+    return g is not None and g._input(t) is not None
 
 
 def record(out_data: np.ndarray, inputs: Sequence[Tensor],
            backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
-    """Wrap `out_data` in a Tensor, appending a tape node if recording.
+    """Wrap `out_data` in a Tensor, appending a tape node when some input
+    is tracked on the active graph. Only the output points at the node.
 
     `backward_fn` receives the output gradient and returns one gradient
     per entry of `inputs`. For an input that :func:`needs_grad` reported
     untracked when the op ran, it should return None rather than compute
     one. It should close over only what its gradients read, because the
-    tape keeps it alive until backward.
+    tape keeps it alive as long as any output of the pass.
     """
     out = Tensor(out_data)
     g = _active_graph()
     if g is None:
         return out
-    ids = tuple(g._leaf_id(t) if isinstance(t, Tensor) else None for t in inputs)
-    if all(i is None for i in ids):
+    ins = tuple(g._input(t) for t in inputs)
+    if all(i is None for i in ins):
         return out
-    out._node = (g, g._add_op(ids, backward_fn))
+    g._nodes.append((ins, backward_fn))
+    out._node = (g, len(g._nodes) - 1)
     return out
 
 
@@ -162,25 +152,18 @@ def backward(loss: Tensor) -> None:
     grads: list[Optional[np.ndarray]] = [None] * (loss_id + 1)
     grads[loss_id] = np.ones_like(loss.data)
     for nid in range(loss_id, -1, -1):
-        out_grad = grads[nid]
-        grads[nid] = None
-        if out_grad is None:
+        if grads[nid] is None:
             continue
-        node = graph._nodes[nid]
-        if node.backward is None:
-            leaf = node.tensor
-            # copy: a backward closure may hand the same array to two inputs
-            leaf.grad = out_grad.copy() if leaf.grad is None else leaf.grad + out_grad
-            continue
-        for in_id, g_in in zip(node.inputs, node.backward(out_grad)):
-            if in_id is None or g_in is None:
+        inputs, backward_fn = graph._nodes[nid]
+        for inp, g_in in zip(inputs, backward_fn(grads[nid])):
+            grads[nid] = None    # free the output gradient before the sums below allocate
+            if inp is None or g_in is None:
                 continue
-            grads[in_id] = g_in if grads[in_id] is None else grads[in_id] + g_in
-    # leaves let go of the finished tape, so it dies with the caller's last
-    # output tensor instead of living on until the next pass
-    for node in graph._nodes:
-        if node.tensor is not None:
-            node.tensor._node = None
+            if isinstance(inp, Tensor):
+                # copy: a backward closure may hand the same array to two inputs
+                inp.grad = g_in.copy() if inp.grad is None else inp.grad + g_in
+            else:
+                grads[inp] = g_in if grads[inp] is None else grads[inp] + g_in
 
 
 def zero_grads(params: dict) -> None:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from racdnn import attention as at
 from racdnn import networks as N
 from racdnn import nn
 from racdnn import tensor as T
-from racdnn.errors import ArgumentError, ShapeError
+from racdnn.errors import ArgumentError, BatchError, ShapeError
 
 from gradcheck import central_diff, central_diff_refined, rel_error
 from ops import mul, sum_all
@@ -146,6 +149,28 @@ class TestInitialNet:
             init = N.InitialNet(p, np.random.default_rng(7))
             outs.append(init.initial_saliency(imgs)[1].data)
         assert outs[0].tobytes() == outs[1].tobytes()
+
+    def test_dropped_forward_frees_its_graph(self):
+        # the parameters outlive the pass; they must not keep its tape alive
+        p, init, _ = make_nets("tiny")
+        with T.Graph() as g:
+            init.forward_raw(rand_images(p), "train")
+            assert len(g) > 0
+        graph = weakref.ref(g)
+        del g
+        gc.collect()
+        assert graph() is None
+
+    def test_pass_that_raises_frees_its_graph(self):
+        p, init, _ = make_nets("tiny")
+        with pytest.raises(BatchError):    # a batch of one, after the first conv records
+            with T.Graph() as g:
+                init.forward_raw(rand_images(p, b=1), "train")
+        assert len(g) > 0
+        graph = weakref.ref(g)
+        del g
+        gc.collect()
+        assert graph() is None
 
 
 class TestRefineNetSteps:

@@ -166,6 +166,25 @@ class TestBackward:
         assert graph() is None
         assert x.grad.tolist() == [4.0]
 
+    def test_leaves_never_point_at_the_tape(self):
+        x = T.Tensor([2.0], requires_grad=True)
+        with T.Graph():
+            loss = sum_all(mul(x, x))
+            assert x._node is None
+            T.backward(loss)
+        assert x._node is None
+
+    def test_shared_leaf_takes_each_graphs_gradient(self):
+        x = T.Tensor([2.0], requires_grad=True)
+        with T.Graph():
+            square = sum_all(mul(x, x))
+        with T.Graph():
+            triple = sum_all(mul(x, 3.0))
+        T.backward(triple)
+        assert x.grad.tolist() == [3.0]
+        T.backward(square)
+        assert x.grad.tolist() == [7.0]
+
     def test_recording_after_backward_keeps_accumulating(self):
         x = T.Tensor([2.0], requires_grad=True)
         with T.Graph():
@@ -189,7 +208,7 @@ class TestBackward:
             assert T.needs_grad(leaf) and T.needs_grad(y)
             assert not T.needs_grad(const) and not T.needs_grad(mul(const, 2.0))
             assert not T.needs_grad(None) and not T.needs_grad(np.ones(1))
-            assert len(g) == 2    # the leaf and the mul; the check registers nothing
+            assert len(g) == 1    # the mul only; the check registers nothing
         with T.Graph():
             assert T.needs_grad(leaf)
             assert not T.needs_grad(y)    # tracked on another graph
