@@ -11,9 +11,8 @@ records, :func:`conv2d` keeps each block's zero-padded input rows, and
 backward rebuilds the columns from them. The decoder's unpool then
 stride-1 convolution is one op, :func:`unpool_conv2d`: a transposed
 convolution that never builds the unpooled zeros, equal to
-``conv2d(unpool(x, k), p)``, which stays as its reference. Its padding
-is at most ``min(kh, kw) - 1``. A stride, padding or unpool factor that
-is not an integer in range raises
+``conv2d(unpool(x, k), p)``, which stays as its reference. A stride,
+padding or unpool factor that is not an integer in range raises
 :class:`~racdnn.errors.ArgumentError`; weights of the wrong rank, and a
 bias or batchnorm vector of the wrong length, raise
 :class:`~racdnn.errors.ShapeError`. The loss is one binary
@@ -254,9 +253,7 @@ def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
     each input value, times the flipped kernel, is added onto the output at
     stride `k`. Forward is one matmul at input resolution and a tap scatter;
     backward gathers the output gradient's windows at stride `k`. Only the
-    order of the float64 sums differs from the composition. The padding
-    may not exceed the kernel's reach, ``min(kh, kw) - 1``, as no network
-    conv's ``kernel // 2`` does; a larger one raises ArgumentError.
+    order of the float64 sums differs from the composition.
     """
     data = _check_4d(x, "unpool_conv2d")
     _require_int(k, 1, "unpool factor")
@@ -266,32 +263,33 @@ def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
     b, c_in, h, w = data.shape
     c_out, _, kh, kw = _kernel_shape(p, c_in, "unpool_conv2d")
     pad = p.padding
-    if pad > min(kh, kw) - 1:
-        raise ArgumentError(f"unpool_conv2d padding {pad} exceeds the reach of a {kh}x{kw} kernel")
     ho = conv_output_size(h * k, kh, 1, pad)
     wo = conv_output_size(w * k, kw, 1, pad)
     if ho < 1 or wo < 1:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h * k}x{w * k} (pad {pad})")
 
-    # the canvas is the full correlation of the unpooled input: flipped tap
-    # (i, j) of input (y, x) lands at (k*y + i, k*x + j), and the output
-    # starts at canvas row kh-1-pad and column kw-1-pad
-    top, left = kh - 1 - pad, kw - 1 - pad
-    hc, wc = k * h + kh - 1, k * w + kw - 1
+    # the canvas is the full correlation of the unpooled input inside a
+    # margin of mh rows and mw columns, nonzero only where the padding
+    # exceeds the kernel's reach: flipped tap (i, j) of input (y, x) lands
+    # at (mh + k*y + i, mw + k*x + j), and the output starts at canvas row
+    # mh+kh-1-pad and column mw+kw-1-pad
+    mh, mw = max(0, pad - (kh - 1)), max(0, pad - (kw - 1))
+    top, left = mh + kh - 1 - pad, mw + kw - 1 - pad
+    hc, wc = k * h + kh - 1 + 2 * mh, k * w + kw - 1 + 2 * mw
 
     # the tape keeps the weights array, and backward flips it again
     wd = p.weights.data
     x3 = data.reshape(b, c_in, h * w)
     taps = np.matmul(_flipped(wd), x3).reshape(b, c_out, kh, kw, h, w)
     canvas = np.zeros((b, c_out, hc, wc))
-    _scatter_taps(taps, k, canvas)
+    _scatter_taps(taps, k, canvas[:, :, mh:, mw:])
     canvas = canvas[:, :, top:top + ho, left:left + wo]
     out = canvas + p.bias.data[None, :, None, None] if p.bias is not None else canvas.copy()
 
     def bwd(og):
         og_canvas = np.zeros((b, c_out, hc, wc))
         og_canvas[:, :, top:top + ho, left:left + wo] = og
-        cols = _im2col(og_canvas, kh, kw, k, (h, w))
+        cols = _im2col(og_canvas[:, :, mh:, mw:], kh, kw, k, (h, w))
         d_x = np.matmul(_flipped(wd).T, cols).reshape(data.shape)
         d_a = np.matmul(cols, x3.transpose(0, 2, 1)).sum(axis=0)
         d_w = d_a.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]

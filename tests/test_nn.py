@@ -284,9 +284,12 @@ class TestUnpoolConv2d:
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("k, kernel, pad",
                              [(2, 5, 2), (2, 3, 1), (2, 1, 0), (3, 3, 0), (3, 5, 2), (2, 3, 2),
+                              (2, 1, 1),
                               pytest.param(2, (3, 5), 1, id="2-3x5-1"),
                               pytest.param(2, (5, 3), 2, id="2-5x3-2"),
-                              pytest.param(2, (1, 3), 0, id="2-1x3-0")])
+                              pytest.param(2, (1, 3), 0, id="2-1x3-0"),
+                              pytest.param(2, (1, 3), 1, id="2-1x3-1"),
+                              pytest.param(3, (5, 2), 2, id="3-5x2-2")])
     def test_matches_unpool_then_conv2d(self, k, kernel, pad, bias):
         x_data, w_data, b_data = self.data(kernel, 20)
         b_data = b_data if bias else None
@@ -366,8 +369,6 @@ BAD_ARGUMENTS = {
     "unpool_conv2d.stride-1": (_unpool_conv_call(stride=-1), ArgumentError),
     "unpool_conv2d.stride2": (_unpool_conv_call(stride=2), ArgumentError),
     "unpool_conv2d.padding-1": (_unpool_conv_call(padding=-1), ArgumentError),
-    "unpool_conv2d.padding-beyond-kernel": (lambda: nn.unpool_conv2d(
-        T.zeros([1, 1, 4, 4]), conv_params(np.zeros((1, 1, 1, 1)), None, 1, 1), 2), ArgumentError),
     "unpool_conv2d.factor0": (_unpool_conv_call(k=0), ArgumentError),
     "unpool_conv2d.factor1.5": (_unpool_conv_call(k=1.5), ArgumentError),
     "unpool_conv2d.weights3d": (lambda: nn.unpool_conv2d(T.zeros([1, 1, 4, 4]),
