@@ -59,6 +59,13 @@ def _check_rows(x: Tensor, what: str) -> np.ndarray:
     return x.data
 
 
+def _check_sizes(**sizes) -> None:
+    """Reject any of the named sizes that is not an integer >= 1."""
+    for what, n in sizes.items():
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ShapeError(f"{what} must be an integer >= 1, got {n!r}")
+
+
 def _windows(params: Tensor) -> np.ndarray:
     """The window rows [B,3] of `params`, every scale checked positive."""
     pd = _check_rows(params, "attention params")
@@ -209,7 +216,9 @@ def affine_grid(params: Tensor, out_h: int, out_w: int, inverse: bool = False) -
     ((a_s, a_tx, a_ty) per row): the y coordinates of the out_h output
     rows, then the x coordinates of the out_w output columns.
     Differentiable in the parameters. `inverse` builds the grid of the
-    inverted transform."""
+    inverted transform. A size that is not an integer >= 1 raises
+    :class:`~racdnn.errors.ShapeError`."""
+    _check_sizes(out_h=out_h, out_w=out_w)
     pd = _windows(params)
     out = np.concatenate([_axis(pd, 2, out_h, inverse), _axis(pd, 1, out_w, inverse)], axis=1)
     a_s = pd[:, 0]
@@ -265,7 +274,9 @@ def inverse_support(params: Tensor, out_h: int, out_w: int, src_h: int, src_w: i
     """[B, out_h, out_w] canvas mask of the pixels st_inverse can touch
     when it writes a src_h x src_w patch at the windows `params` [B,3]:
     the rows and the columns whose inverse coordinate has a patch pixel
-    within one pixel."""
+    within one pixel. A size that is not an integer >= 1 raises
+    :class:`~racdnn.errors.ShapeError`."""
+    _check_sizes(out_h=out_h, out_w=out_w, src_h=src_h, src_w=src_w)
     pd = _windows(params)
     py = _pixels(_axis(pd, 2, out_h, True), src_h)
     px = _pixels(_axis(pd, 1, out_w, True), src_w)

@@ -181,7 +181,13 @@ def build_decoder(p: Preset, rng) -> Stack:
     return Stack(layers)
 
 
+def _check_tensor(t, what: str) -> None:
+    if not isinstance(t, Tensor):
+        raise ArgumentError(f"{what} must be a Tensor, got {type(t).__name__}")
+
+
 def _check_images(images: Tensor, p: Preset) -> Tensor:
+    _check_tensor(images, "images")
     if images.ndim != 4 or images.shape[1:] != (IMAGE_CHANNELS, p.input_size, p.input_size):
         raise ShapeError(f"preset {p.name!r} expects images "
                          f"[B,{IMAGE_CHANNELS},{p.input_size},{p.input_size}], got {images.shape}")
@@ -318,6 +324,7 @@ class RefineNet:
         x = _check_images(images, self.preset)
         b = x.shape[0]
         m = self.preset.map_size
+        _check_tensor(r0, "r0")
         if r0.shape != (b, 1, m, m):
             raise ShapeError(f"running map must be [B,1,{m},{m}], got {r0.shape}")
 

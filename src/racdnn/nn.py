@@ -7,11 +7,12 @@ Convolution is cross-correlation (no kernel flip), computed as im2col and
 one matmul per block: a block is a group of whole images when one image's
 columns fit :data:`_BLOCK_BYTES`, otherwise a run of one image's output
 rows, so the columns of the whole batch never exist at once. When it
-records, :func:`conv2d` keeps each block's zero-padded input rows, and
-backward rebuilds the columns from them. The decoder's unpool then
-stride-1 convolution is one op, :func:`unpool_conv2d`: a transposed
-convolution that never builds the unpooled zeros, equal to
-``conv2d(unpool(x, k), p)``, which stays as its reference. A stride,
+records, :func:`conv2d` keeps its input by reference, not a padded copy,
+and backward pads each block's rows again to rebuild its columns. The
+decoder's unpool then stride-1 convolution is one op,
+:func:`unpool_conv2d`: a transposed convolution that never builds the
+unpooled zeros, equal to ``conv2d(unpool(x, k), p)``, which stays as its
+reference. A stride,
 padding or unpool factor that is not an integer in range raises
 :class:`~racdnn.errors.ArgumentError`; weights of the wrong rank, and a
 bias or batchnorm vector of the wrong length, raise
@@ -155,12 +156,13 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     padded copy of the whole input and no columns of the whole batch are
     built. A conv that fits the budget is one block.
 
-    When the op records, the tape keeps each block's padded rows, about
-    the size of the padded input and up to kh*kw times smaller than the
-    columns. Backward rebuilds each block's columns for the weight
-    gradient, summed over blocks, then reuses that buffer for the input
-    gradient's columns, whose taps land in one shared padded-gradient
-    canvas. An untracked input gets no gradient.
+    When the op records, the tape keeps a reference to the input array,
+    which the layer before already keeps (``relu`` keeps its output), so
+    the op adds no activation of its own. Backward pads each block's rows
+    again and rebuilds its columns for the weight gradient, summed over
+    blocks, then reuses that buffer for the input gradient's columns,
+    whose taps land in one shared padded-gradient canvas. An untracked
+    input gets no gradient.
     """
     data = _check_4d(x, "conv2d")
     _require_int(p.stride, 1, "conv2d stride")
@@ -175,8 +177,6 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
 
     w2 = p.weights.data.reshape(c_out, c_in * kh * kw)
     blocks = _blocks(b, ho, c_in * kh * kw * wo * data.itemsize)
-    keep = needs_grad(x) or needs_grad(p.weights) or needs_grad(p.bias)
-    kept = []
     out = np.empty((b, c_out, ho, wo))
     out3 = out.reshape(b, c_out, ho * wo)
     for imgs, rows in blocks:
@@ -184,8 +184,6 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         cols = _im2col(padded, kh, kw, s, (rows.stop - rows.start, wo))
         np.matmul(w2, cols, out=out3[imgs, :, rows.start * wo:rows.stop * wo])
         del cols    # before the next block builds its own
-        if keep:
-            kept.append(padded)
     if p.bias is not None:
         out += p.bias.data[None, :, None, None]
 
@@ -196,9 +194,10 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         og3 = og.reshape(b, c_out, ho * wo)
         d_w = None
         d_padded = np.zeros((b, c_in, hp, wp)) if track_x else None
-        for (imgs, rows), padded in zip(blocks, kept):
+        for imgs, rows in blocks:
             n = rows.stop - rows.start
             og_block = og3[imgs, :, rows.start * wo:rows.stop * wo]
+            padded = _padded_rows(data, imgs, rows, s, kh, pad)
             cols = _im2col(padded, kh, kw, s, (n, wo))
             # batched matmul, not einsum: this einsum does not reach BLAS and measured 15x slower
             part = np.matmul(og_block, cols.transpose(0, 2, 1))

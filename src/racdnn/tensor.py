@@ -11,15 +11,28 @@ execution order, so it is already topologically sorted; :func:`backward`
 walks it once in reverse and adds each leaf's gradient into its ``grad``
 slot as it runs the op that read the leaf.
 
+Backward consumes the tape: a closure runs at most once, and backward
+drops it, with everything it kept, as soon as it has run, so each
+activation is freed as the walk passes the op that kept it. The tape keeps
+its length, but a second backward through a consumed node raises
+:class:`~racdnn.errors.GraphError`. Backward owns the gradients the
+closures return: the first one a leaf receives becomes its ``grad`` as it
+is, and later ones are added into it in place, so a reference to
+``p.grad`` sees later sums. A buffer that a closure hands to two inputs is
+copied for every input after the first, and a leaf gets a copy of a
+read-only array or of a view into a larger buffer. So a closure must not
+return an array that it or the network keeps.
+
 Ops follow one rule: a closure keeps only what its gradients read, and an
 op computes no gradient for an input that :func:`needs_grad` reports
 untracked, returning None in that slot. What backward can rebuild from an
-array that lives anyway, an input or a weight, it rebuilds instead of
-keeping a copy: ``attention.bilinear_sample`` keeps its source by
-reference and its 1-D taps, not per-pixel planes, and
-``nn.unpool_conv2d`` keeps its weights, not their flipped copy. An op with
-one input meets the second half of the rule for free, because with no
-tracked input it records nothing.
+array that lives anyway, an input, an output or a weight, it rebuilds
+instead of keeping a copy: ``nn.conv2d`` keeps its input by reference and
+pads it again, ``relu`` keeps its output, not a mask,
+``attention.bilinear_sample`` keeps its source by reference and its 1-D
+taps, not per-pixel planes, and ``nn.unpool_conv2d`` keeps its weights,
+not their flipped copy. An op with one input meets the second half of the
+rule for free, because with no tracked input it records nothing.
 ``nn.conv2d`` checks its input and ``attention.bilinear_sample`` its source
 and its grid, because an image or a fixed grid is often untracked there;
 the other ops with several inputs pass the output gradient through, or
@@ -47,10 +60,11 @@ def _active_graph() -> Optional["Graph"]:
 
 
 class Graph:
-    """Append-only tape of op nodes, confined to one thread per pass."""
+    """Append-only tape of op nodes, confined to one thread per pass.
+    :func:`backward` replaces each node it runs with None."""
 
     def __init__(self):
-        self._nodes: list[tuple[tuple, Callable]] = []
+        self._nodes: list[Optional[tuple[tuple, Callable]]] = []
 
     def __enter__(self) -> "Graph":
         if _active_graph() is not None:
@@ -124,7 +138,11 @@ def record(out_data: np.ndarray, inputs: Sequence[Tensor],
     per entry of `inputs`. For an input that :func:`needs_grad` reported
     untracked when the op ran, it should return None rather than compute
     one. It should close over only what its gradients read, because the
-    tape keeps it alive as long as any output of the pass.
+    tape keeps it alive until backward runs it or the pass's last output
+    dies. It runs at most once, and backward drops it after it runs. It
+    must not return an array that it or the network keeps, because
+    backward adopts the arrays it returns and adds later gradients into
+    them in place; returning the same buffer for several inputs is fine.
     """
     out = Tensor(out_data)
     g = _active_graph()
@@ -138,32 +156,71 @@ def record(out_data: np.ndarray, inputs: Sequence[Tensor],
     return out
 
 
+def _owned(a: np.ndarray) -> bool:
+    """True when `a` can become a leaf's grad as it is: writable, and not a
+    view that would keep a larger buffer alive."""
+    if not a.flags.writeable:
+        return False
+    base = a.base
+    return base is None or (isinstance(base, np.ndarray) and base.nbytes <= a.nbytes)
+
+
 def backward(loss: Tensor) -> None:
-    """Populate `grad` on every leaf reachable from `loss`.
+    """Populate `grad` on every leaf reachable from `loss`, consuming the
+    tape on the way.
 
     Gradients accumulate additively, both across multiple uses of a node
-    within the graph and across repeated backward calls.
+    within the graph and, for leaves, across graphs: a leaf's first
+    gradient becomes its ``grad`` and later ones are added into that
+    array in place, so a reference to ``p.grad`` sees later sums. Each
+    closure runs once and is dropped with what it kept as soon as it has
+    run, so a second backward through a node already run, on the same
+    loss or on another loss of the same pass, raises
+    :class:`~racdnn.errors.GraphError` before any grad changes. A buffer a
+    closure returns for several inputs is copied for each input after the
+    first, and a leaf gets a copy of a read-only array or of a view into
+    a larger buffer, so no two grads share memory.
     """
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise ArgumentError("backward needs a scalar (single-element) tensor")
     if loss._node is None:
         raise GraphError("loss is not attached to any computation graph")
     graph, loss_id = loss._node
+    nodes = graph._nodes
+    # check every node the walk reaches before it changes any grad
+    reached = {loss_id}
+    for nid in range(loss_id, -1, -1):
+        if nid in reached:
+            if nodes[nid] is None:
+                raise GraphError(f"tape node {nid} was consumed by an earlier backward")
+            reached.update(i for i in nodes[nid][0] if isinstance(i, int))
     grads: list[Optional[np.ndarray]] = [None] * (loss_id + 1)
     grads[loss_id] = np.ones_like(loss.data)
     for nid in range(loss_id, -1, -1):
         if grads[nid] is None:
             continue
-        inputs, backward_fn = graph._nodes[nid]
-        for inp, g_in in zip(inputs, backward_fn(grads[nid])):
-            grads[nid] = None    # free the output gradient before the sums below allocate
+        inputs, backward_fn = nodes[nid]
+        in_grads = backward_fn(grads[nid])
+        # drop the closure, what it kept and the output gradient before the
+        # sums below allocate
+        nodes[nid] = grads[nid] = backward_fn = None
+        given = []
+        for inp, g_in in zip(inputs, in_grads):
             if inp is None or g_in is None:
                 continue
+            if any(np.may_share_memory(g_in, other) for other in given):
+                g_in = g_in.copy()
+            given.append(g_in)
             if isinstance(inp, Tensor):
-                # copy: a backward closure may hand the same array to two inputs
-                inp.grad = g_in.copy() if inp.grad is None else inp.grad + g_in
+                if inp.grad is None:
+                    inp.grad = g_in if _owned(g_in) else g_in.copy()
+                else:
+                    inp.grad += g_in
             else:
                 grads[inp] = g_in if grads[inp] is None else grads[inp] + g_in
+        # a gradient summed out of place is garbage now; do not hold it
+        # through the next closure
+        in_grads = given = g_in = None
 
 
 def zero_grads(params: dict) -> None:
@@ -222,10 +279,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0.0)
-    mask = a.data > 0.0 if needs_grad(a) else None
 
     def bwd(og):
-        return (og * mask,)
+        # the output, which the next op keeps anyway, not a mask of the input
+        return (og * (out_data > 0.0),)
 
     return record(out_data, [a], bwd)
 

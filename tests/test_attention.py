@@ -90,6 +90,31 @@ class TestTransforms:
                 grid_of((bad, 0.0, 0.0), 3, 3, inverse=True)
 
 
+_WINDOW = T.Tensor([[1.0, 0.0, 0.0]])
+
+# every size an attention grid or mask is built at must be an integer >= 1
+BAD_SIZES = {
+    "affine_grid.out_h-1": lambda: at.affine_grid(_WINDOW, -1, 2),
+    "affine_grid.out_h0": lambda: at.affine_grid(_WINDOW, 0, 2),
+    "affine_grid.out_w4.0": lambda: at.affine_grid(_WINDOW, 2, 4.0),
+    "affine_grid.inverse.out_w0": lambda: at.affine_grid(_WINDOW, 2, 0, inverse=True),
+    "st.out_h4.0": lambda: at.st(T.zeros([1, 1, 4, 4]), _WINDOW, 4.0, 4),
+    "st.out_w0": lambda: at.st(T.zeros([1, 1, 4, 4]), _WINDOW, 4, 0),
+    "st_inverse.out_h0": lambda: at.st_inverse(T.zeros([1, 1, 4, 4]), _WINDOW, 0, 4),
+    "st_inverse.out_w4.0": lambda: at.st_inverse(T.zeros([1, 1, 4, 4]), _WINDOW, 4, 4.0),
+    "inverse_support.out_h-1": lambda: at.inverse_support(_WINDOW, -1, 2, 2, 2),
+    "inverse_support.out_w0": lambda: at.inverse_support(_WINDOW, 2, 0, 2, 2),
+    "inverse_support.src_h4.0": lambda: at.inverse_support(_WINDOW, 2, 2, 4.0, 2),
+    "inverse_support.src_w-1": lambda: at.inverse_support(_WINDOW, 2, 2, 2, -1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIZES))
+def test_bad_sizes_raise_shape_error(case):
+    with pytest.raises(ShapeError):
+        BAD_SIZES[case]()
+
+
 class TestGenerateGrid:
     """Geometry of the grids affine_grid generates."""
 

@@ -53,6 +53,22 @@ def test_unbatched_input_rejected(op):
         UNBATCHED[op]()
 
 
+# an ndarray where a network takes a Tensor
+NOT_TENSORS = {
+    "InitialNet.images": lambda: make_nets()[1].forward_raw(np.zeros((1, 3, 16, 16))),
+    "RefineNet.images": lambda: make_nets()[2].run_refinement(np.zeros((1, 3, 16, 16)),
+                                                             T.zeros([1, 1, 16, 16])),
+    "RefineNet.r0": lambda: make_nets()[2].run_refinement(T.zeros([1, 3, 16, 16]),
+                                                         np.zeros((1, 1, 16, 16))),
+}
+
+
+@pytest.mark.parametrize("arg", sorted(NOT_TENSORS))
+def test_array_for_a_tensor_rejected(arg):
+    with pytest.raises(ArgumentError, match=arg.split(".")[1]):
+        NOT_TENSORS[arg]()
+
+
 class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ArgumentError):

@@ -150,6 +150,15 @@ class TestConv2d:
         columns = 2 * 4 * 9 * 16 * 16 * 8      # [2,4*3*3,16*16]
         assert kept <= padded + out.data.nbytes + SLACK < columns
 
+    def test_tape_keeps_the_input_by_reference(self):
+        rng = np.random.default_rng(14)
+        x = T.Tensor(rng.normal(size=(2, 4, 16, 16)), requires_grad=True)
+        p = conv_params(rng.normal(size=(4, 4, 3, 3)), rng.normal(size=(4,)), padding=1)
+        with T.Graph():
+            out, kept, _ = traced_bytes(lambda: nn.conv2d(x, p))
+        padded = 2 * 4 * 18 * 18 * 8           # [2,4,18,18] float64
+        assert kept <= out.data.nbytes + SLACK < out.data.nbytes + padded
+
     def test_uncovered_input_gets_zero_gradient(self):
         # h=8, k=3, stride 2, no padding: windows start at rows 0, 2, 4 and
         # never reach row 7 (or column 7)
@@ -222,6 +231,18 @@ class TestConv2dBlocks:
         out, _, peak = traced_bytes(lambda: nn.conv2d(x, p))
         columns = 2 * 8 * 9 * 32 * 32 * 8      # [2,8*3*3,32*32]
         assert peak <= out.data.nbytes + 2 * budget + SLACK < columns
+
+    def test_row_blocks_keep_no_padded_rows(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        x = T.Tensor(rng.normal(size=(2, 4, 16, 16)), requires_grad=True)
+        p = conv_params(rng.normal(size=(4, 4, 3, 3)), rng.normal(size=(4,)), padding=1)
+        row_bytes = 4 * 9 * 16 * 8
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", 4 * row_bytes)
+        assert len(nn._blocks(2, 16, row_bytes)) == 8
+        with T.Graph():
+            out, kept, _ = traced_bytes(lambda: nn.conv2d(x, p))
+        padded = 2 * 4 * 18 * 18 * 8           # [2,4,18,18]; the blocks' rows overlap and take more
+        assert kept <= out.data.nbytes + SLACK < out.data.nbytes + padded
 
     def test_paper_encoder_block_counts(self):
         # (c_in, kernel, output side) of the paper encoder's layers at B=2

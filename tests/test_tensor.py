@@ -7,7 +7,7 @@ from racdnn import tensor as T
 from racdnn.errors import ArgumentError, GraphError, ShapeError
 
 from gradcheck import check_grad
-from memory import traced_bytes
+from memory import SLACK, traced_bytes
 from ops import matmul, mul, sum_all
 
 
@@ -51,6 +51,12 @@ class TestElementwise:
         x = T.Tensor(np.random.default_rng(0).normal(size=(256, 256)))
         out, _, peak = traced_bytes(lambda: T.relu(x))
         assert peak < out.data.nbytes + x.size // 2    # a bool mask takes x.size bytes
+
+    def test_relu_tape_keeps_its_output_not_a_mask(self):
+        x = T.Tensor(np.random.default_rng(0).normal(size=(256, 256)), requires_grad=True)
+        with T.Graph():
+            out, kept, _ = traced_bytes(lambda: T.relu(x))
+        assert kept <= out.data.nbytes + SLACK < out.data.nbytes + x.size   # a bool mask
 
     def test_sigmoid_at_zero(self):
         assert T.sigmoid(T.Tensor([0.0])).data.tolist() == [0.5]
@@ -149,12 +155,75 @@ class TestBackward:
         np.testing.assert_allclose(g_combined, g1 + g2, rtol=1e-12)
 
     def test_repeated_backward_accumulates(self):
+        # backward consumes the tape, so the second pass over it raises and
+        # the first pass's gradient stands
         x = T.Tensor([2.0], requires_grad=True)
         with T.Graph():
             loss = sum_all(mul(x, x))
             T.backward(loss)
-            T.backward(loss)
-        assert x.grad.tolist() == [8.0]
+            with pytest.raises(GraphError):
+                T.backward(loss)
+        assert x.grad.tolist() == [4.0]
+
+    def test_tape_keeps_its_length_after_backward(self):
+        x = T.Tensor([2.0], requires_grad=True)
+        with T.Graph() as g:
+            loss = sum_all(T.relu(mul(x, x)))
+        nodes = len(g)
+        T.backward(loss)
+        assert len(g) == nodes == 3
+
+    def test_second_loss_through_a_consumed_node_raises(self):
+        x = T.Tensor([2.0], requires_grad=True)
+        with T.Graph():
+            y = mul(x, x)
+            T.backward(sum_all(y))
+            with pytest.raises(GraphError):
+                T.backward(sum_all(mul(y, 3.0)))
+            # the walk would reach x through the fresh mul before the
+            # consumed y; it raises before it adds anything
+            with pytest.raises(GraphError):
+                T.backward(T.add(sum_all(y), sum_all(mul(x, 5.0))))
+        assert x.grad.tolist() == [4.0]
+
+    def test_backward_frees_what_a_closure_kept(self):
+        x = T.Tensor(np.random.default_rng(5).normal(size=(64,)), requires_grad=True)
+        with T.Graph() as g:
+            h = T.relu(mul(x, 2.0))
+            kept = weakref.ref(h.data)    # relu's closure keeps its output
+            loss = sum_all(h)
+        del h
+        assert kept() is not None
+        T.backward(loss)
+        assert kept() is None
+        assert len(g) == 3 and loss.item() > 0.0
+
+    def test_leaf_grads_own_their_buffers(self):
+        # add hands one buffer to both leaves; each must own its own, because
+        # a later gradient is added into it in place
+        a = T.Tensor([1.0], requires_grad=True)
+        b = T.Tensor([2.0], requires_grad=True)
+        with T.Graph():
+            T.backward(sum_all(T.add(a, b)))
+        assert not np.may_share_memory(a.grad, b.grad)
+        grad_a = a.grad
+        with T.Graph():
+            T.backward(sum_all(mul(a, 3.0)))
+        assert a.grad is grad_a and grad_a.tolist() == [4.0]
+        assert b.grad.tolist() == [1.0]
+
+    def test_add_of_a_leaf_and_a_node(self):
+        # add gives the leaf `a` and the node `y` one buffer; the mul that
+        # read `a` earlier then adds into a.grad in place while y's gradient
+        # is still pending, so y must hold a copy
+        a = T.Tensor([1.0, -2.0], requires_grad=True)
+        x = T.Tensor([3.0, 0.5], requires_grad=True)
+        with T.Graph():
+            y = mul(x, 2.0)
+            u = mul(a, 5.0)
+            T.backward(sum_all(T.add(T.add(a, y), u)))
+        assert a.grad.tolist() == [6.0, 6.0]
+        assert x.grad.tolist() == [2.0, 2.0]
 
     def test_finished_graph_is_released(self):
         x = T.Tensor([2.0], requires_grad=True)
