@@ -60,9 +60,10 @@ def _check_rows(x: Tensor, what: str) -> np.ndarray:
 
 
 def _check_sizes(**sizes) -> None:
-    """Reject any of the named sizes that is not an integer >= 1."""
+    """Reject any of the named sizes that is not an integer >= 1; a bool is
+    not one."""
     for what, n in sizes.items():
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise ShapeError(f"{what} must be an integer >= 1, got {n!r}")
 
 
@@ -169,7 +170,8 @@ def bilinear_sample(source: Tensor, grid: Union[Tensor, np.ndarray], out_h: int)
     gd = grid_t.data
     if gd.ndim != 2 or gd.shape[0] != b:
         raise ShapeError(f"grid must be [{b}, out_h + out_w], got {grid_t.shape}")
-    if not isinstance(out_h, (int, np.integer)) or not 0 < out_h < gd.shape[1]:
+    if (not isinstance(out_h, (int, np.integer)) or isinstance(out_h, bool)
+            or not 0 < out_h < gd.shape[1]):
         raise ShapeError(f"grid length {gd.shape[1]} is not out_h {out_h!r} plus out_w >= 1")
     if not np.isfinite(gd).all():
         raise NumericError("bilinear_sample grid has non-finite coordinates")

@@ -7,7 +7,13 @@ saliency map through blocks of a 2x unpool fused into a 5x5 convolution
 (``nn.unpool_conv2d``, which never builds the unpooled zeros), each
 followed by a capacity-adding 1x1 convolution. Every convolution pads by
 ``kernel // 2`` and takes its input channels from the layer before it;
-the last 1x1 emits the 1-channel raw map. The refinement network
+the last 1x1 emits the 1-channel raw map. Each layer but that last one
+is conv, batchnorm, ReLU. A :class:`Stack` runs them as pre-activation
+units: the batchnorm and ReLU of a layer run inside the next layer's
+convolution, as one tape node (``nn.bn_relu_conv2d``,
+``nn.bn_relu_unpool_conv2d``) that keeps one activation. The first
+convolution of a stack is a plain op, and the encoder ends in
+``relu(batchnorm)``. The refinement network
 re-uses the same encoder/decoder shapes inside a two-layer recurrent loop
 that attends to one window per iteration and accumulates decoded patches
 into the running map.
@@ -109,7 +115,10 @@ def _bn(c: int) -> nn.BatchNormParams:
 
 
 class ConvLayer:
-    """conv -> batchnorm -> ReLU, or the conv alone when ``bare``."""
+    """A convolution whose output goes through batchnorm and ReLU, or the
+    conv alone when ``bare``. The layer owns its batchnorm, but the
+    batchnorm and ReLU run where the output is read: inside the next
+    layer's convolution, or after the last layer of a :class:`Stack`."""
 
     def __init__(self, c_in, c_out, kernel, rng, stride=1, bare=False):
         self.conv = nn.Conv2dParams(
@@ -118,14 +127,13 @@ class ConvLayer:
             stride=stride, padding=kernel // 2)
         self.norm = None if bare else _bn(c_out)
 
-    def _conv(self, x: Tensor) -> Tensor:
-        return nn.conv2d(x, self.conv)
-
-    def __call__(self, x: Tensor, mode: str) -> Tensor:
-        if self.norm is None:
-            return self._conv(x)
-        # nested, so that without a tape the conv output is freed before relu allocates
-        return T.relu(nn.batchnorm(self._conv(x), self.norm, mode))
+    def __call__(self, x: Tensor, norm: Optional[nn.BatchNormParams], mode: str) -> Tensor:
+        """This layer's convolution of `x`, or, when the layer before left
+        its batchnorm `norm` to apply, of ``relu(batchnorm(x, norm, mode))``
+        as one op."""
+        if norm is None:
+            return nn.conv2d(x, self.conv)
+        return nn.bn_relu_conv2d(x, norm, mode, self.conv)
 
     def tensors(self):
         yield "w", self.conv.weights
@@ -141,20 +149,26 @@ class UnpoolConvLayer(ConvLayer):
     """A ConvLayer whose stride-1 conv reads its input unpooled by 2,
     without building the unpooled zeros (``nn.unpool_conv2d``)."""
 
-    def _conv(self, x: Tensor) -> Tensor:
-        return nn.unpool_conv2d(x, self.conv, 2)
+    def __call__(self, x: Tensor, norm: Optional[nn.BatchNormParams], mode: str) -> Tensor:
+        if norm is None:
+            return nn.unpool_conv2d(x, self.conv, 2)
+        return nn.bn_relu_unpool_conv2d(x, norm, mode, self.conv, 2)
 
 
 class Stack:
-    """A named sequence of layers with flat tensor naming."""
+    """A named sequence of layers with flat tensor naming, run as
+    pre-activation units: each layer's batchnorm and ReLU run inside the
+    next layer's convolution, and the last layer's on their own."""
 
     def __init__(self, layers: list):
         self.layers = layers
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
+        norm = None
         for layer in self.layers:
-            x = layer(x, mode)
-        return x
+            x = layer(x, norm, mode)
+            norm = layer.norm
+        return x if norm is None else T.relu(nn.batchnorm(x, norm, mode))
 
     def tensors(self):
         for i, layer in enumerate(self.layers):

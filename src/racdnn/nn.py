@@ -12,11 +12,22 @@ and backward pads each block's rows again to rebuild its columns. The
 decoder's unpool then stride-1 convolution is one op,
 :func:`unpool_conv2d`: a transposed convolution that never builds the
 unpooled zeros, equal to ``conv2d(unpool(x, k), p)``, which stays as its
-reference. A stride,
-padding or unpool factor that is not an integer in range raises
-:class:`~racdnn.errors.ArgumentError`; weights of the wrong rank, and a
-bias or batchnorm vector of the wrong length, raise
-:class:`~racdnn.errors.ShapeError`. The loss is one binary
+reference.
+
+A conv stack runs as pre-activation units: :func:`bn_relu_conv2d` and
+:func:`bn_relu_unpool_conv2d` are ``conv(relu(batchnorm(x)))`` as one
+op, byte for byte. Each convolution is a plan, a forward and a backward
+that take the input array as an argument, so the fused op applies
+batchnorm's per-channel scale and shift and the ReLU to each block's rows
+as it pads them, keeps only what batchnorm's backward reads (x-hat in
+train mode, the input in infer mode), and rebuilds the ReLU output in
+backward. Batchnorm's statistics and gradients live in
+:func:`_batchnorm_forward`, which :func:`batchnorm` shares.
+
+A stride, padding or unpool factor that is not an integer in range (a
+bool is not one) raises :class:`~racdnn.errors.ArgumentError`; weights
+of the wrong rank, and a bias or batchnorm vector of the wrong length,
+raise :class:`~racdnn.errors.ShapeError`. The loss is one binary
 cross-entropy, :func:`bce_with_logits`, computed from raw logits, so it
 stays finite for logits far outside the sigmoid's useful range.
 """
@@ -24,6 +35,7 @@ stays finite for logits far outside the sigmoid's useful range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -72,8 +84,8 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def _require_int(value, lowest: int, what: str) -> None:
-    """Reject `value` unless it is an integer >= `lowest`."""
-    if not isinstance(value, (int, np.integer)) or value < lowest:
+    """Reject `value` unless it is an integer >= `lowest`; a bool is not one."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < lowest:
         raise ArgumentError(f"{what} must be an integer >= {lowest}, got {value!r}")
 
 
@@ -132,65 +144,84 @@ def _blocks(b: int, ho: int, row_bytes: int) -> list:
     return [(slice(i, i + 1), slice(y, min(y + n, ho))) for i in range(b) for y in range(0, ho, n)]
 
 
+def _bn_relu(s: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``max(s*scale + shift, 0)`` with per-channel `scale` and `shift`
+    [C,1,1], in the float ops of ``relu(batchnorm(x))``: the batchnorm
+    output ``s*scale + shift`` that :func:`_batchnorm_forward` describes,
+    then the ReLU."""
+    out = s * scale
+    out += shift
+    return np.maximum(out, 0.0, out=out)
+
+
 def _padded_rows(data: np.ndarray, imgs: slice, rows: slice, s: int, kh: int,
-                 pad: int) -> np.ndarray:
+                 pad: int, relu: Optional[tuple] = None) -> np.ndarray:
     """The zero-padded input rows ``s*rows.start`` to ``s*(rows.stop-1) + kh``
-    of images `imgs`: all that output `rows` read. A view of `data` when
-    there is no padding."""
-    h = data.shape[2]
+    of images `imgs`: all that output `rows` read. With `relu` a
+    ``(scale, shift)`` pair, the rows hold ``_bn_relu(data, scale, shift)``
+    rather than `data`. A view of `data` when there is neither padding nor
+    `relu`; otherwise a fresh array, with padding one buffer whose zero
+    border is written around the rows copied in."""
+    h, w = data.shape[2:]
     top = s * rows.start - pad
     bottom = s * (rows.stop - 1) + kh - pad
     part = data[imgs, :, max(top, 0):min(bottom, h)]
+    if relu is not None:
+        # built whole, then copied: ufuncs that write into the strided
+        # inside of the buffer measured twice as slow
+        part = _bn_relu(part, *relu)
     if not pad:
         return part
-    return np.pad(part, ((0, 0), (0, 0), (max(-top, 0), max(bottom - h, 0)), (pad, pad)))
+    buf = np.empty(part.shape[:2] + (bottom - top, w + 2 * pad))
+    y0 = max(-top, 0)
+    y1 = y0 + part.shape[2]
+    buf[:, :, :y0] = 0.0
+    buf[:, :, y1:] = 0.0
+    buf[:, :, y0:y1, :pad] = 0.0
+    buf[:, :, y0:y1, pad + w:] = 0.0
+    buf[:, :, y0:y1, pad:pad + w] = part
+    return buf
 
 
-def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """Strided cross-correlation with symmetric zero padding.
+# A conv plan checks one convolution's arguments against its input's shape
+# and returns the (forward, backward) pair that computes it:
+#   forward(data, relu=None) -> the output for the input `data`, or, with
+#       `relu` a (scale, shift) pair, for the input _bn_relu(data, *relu);
+#   backward(og, data, track_x) -> the gradients in the input, the weights
+#       and the bias, with None for the input unless `track_x`; `data` is the
+#       input array itself.
+# Neither closes over an input array, so the op that records a plan decides
+# what its tape keeps.
 
-    Works in blocks whose im2col columns take at most :data:`_BLOCK_BYTES`:
-    groups of whole images when one image's columns fit, otherwise runs of
-    one image's output rows. Each block pads only the input rows it reads
-    and matmuls its columns straight into its slice of the output, so no
-    padded copy of the whole input and no columns of the whole batch are
-    built. A conv that fits the budget is one block.
 
-    When the op records, the tape keeps a reference to the input array,
-    which the layer before already keeps (``relu`` keeps its output), so
-    the op adds no activation of its own. Backward pads each block's rows
-    again and rebuilds its columns for the weight gradient, summed over
-    blocks, then reuses that buffer for the input gradient's columns,
-    whose taps land in one shared padded-gradient canvas. An untracked
-    input gets no gradient.
-    """
-    data = _check_4d(x, "conv2d")
+def _conv2d_plan(shape: tuple, p: Conv2dParams) -> tuple:
+    """The plan of :func:`conv2d` for an input of `shape` [B,C,H,W]."""
     _require_int(p.stride, 1, "conv2d stride")
     _require_int(p.padding, 0, "conv2d padding")
-    b, c_in, h, w = data.shape
+    b, c_in, h, w = shape
     c_out, _, kh, kw = _kernel_shape(p, c_in, "conv2d")
     s, pad = p.stride, p.padding
     ho = conv_output_size(h, kh, s, pad)
     wo = conv_output_size(w, kw, s, pad)
     if ho < 1 or wo < 1:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h}x{w} (pad {pad})")
-
     w2 = p.weights.data.reshape(c_out, c_in * kh * kw)
-    blocks = _blocks(b, ho, c_in * kh * kw * wo * data.itemsize)
-    out = np.empty((b, c_out, ho, wo))
-    out3 = out.reshape(b, c_out, ho * wo)
-    for imgs, rows in blocks:
-        padded = _padded_rows(data, imgs, rows, s, kh, pad)
-        cols = _im2col(padded, kh, kw, s, (rows.stop - rows.start, wo))
-        np.matmul(w2, cols, out=out3[imgs, :, rows.start * wo:rows.stop * wo])
-        del cols    # before the next block builds its own
-    if p.bias is not None:
-        out += p.bias.data[None, :, None, None]
-
+    blocks = _blocks(b, ho, c_in * kh * kw * wo * 8)    # float64 columns
     hp, wp = h + 2 * pad, w + 2 * pad
-    track_x = needs_grad(x)
 
-    def bwd(og):
+    def forward(data, relu=None):
+        out = np.empty((b, c_out, ho, wo))
+        out3 = out.reshape(b, c_out, ho * wo)
+        for imgs, rows in blocks:
+            padded = _padded_rows(data, imgs, rows, s, kh, pad, relu)
+            cols = _im2col(padded, kh, kw, s, (rows.stop - rows.start, wo))
+            np.matmul(w2, cols, out=out3[imgs, :, rows.start * wo:rows.stop * wo])
+            del padded, cols    # before the next block builds its own
+        if p.bias is not None:
+            out += p.bias.data[None, :, None, None]
+        return out
+
+    def backward(og, data, track_x):
         og3 = og.reshape(b, c_out, ho * wo)
         d_w = None
         d_padded = np.zeros((b, c_in, hp, wp)) if track_x else None
@@ -221,7 +252,41 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         d_x = d_padded[:, :, pad:hp - pad, pad:wp - pad] if pad else d_padded
         return d_x, d_w, d_b
 
-    return record(out, [x, p.weights, p.bias], bwd)
+    return forward, backward
+
+
+def _record_conv(x: Tensor, p: Conv2dParams, plan: tuple) -> Tensor:
+    """Run a conv plan on `x`; the tape keeps the input array by reference."""
+    forward, backward = plan
+    data = x.data
+    track_x = needs_grad(x)
+
+    def bwd(og):
+        return backward(og, data, track_x)
+
+    return record(forward(data), [x, p.weights, p.bias], bwd)
+
+
+def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
+    """Strided cross-correlation with symmetric zero padding.
+
+    Works in blocks whose im2col columns take at most :data:`_BLOCK_BYTES`:
+    groups of whole images when one image's columns fit, otherwise runs of
+    one image's output rows. Each block pads only the input rows it reads
+    and matmuls its columns straight into its slice of the output, so no
+    padded copy of the whole input and no columns of the whole batch are
+    built. A conv that fits the budget is one block.
+
+    When the op records, the tape keeps a reference to the input array,
+    which lives anyway (the op before keeps it, or the caller holds it), so
+    the op adds no activation of its own. Backward pads each block's rows
+    again and rebuilds its columns for the weight gradient, summed over
+    blocks, then reuses that buffer for the input gradient's columns,
+    whose taps land in one shared padded-gradient canvas. An untracked
+    input gets no gradient.
+    """
+    data = _check_4d(x, "conv2d")
+    return _record_conv(x, p, _conv2d_plan(data.shape, p))
 
 
 def unpool(x: Tensor, k: int) -> Tensor:
@@ -245,21 +310,13 @@ def _flipped(weights: np.ndarray) -> np.ndarray:
     return weights[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(c_out * kh * kw, c_in)
 
 
-def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
-    """``conv2d(unpool(x, k), p)`` at stride 1, without the unpooled zeros.
-
-    A convolution over a zero-inserted input is a transposed convolution:
-    each input value, times the flipped kernel, is added onto the output at
-    stride `k`. Forward is one matmul at input resolution and a tap scatter;
-    backward gathers the output gradient's windows at stride `k`. Only the
-    order of the float64 sums differs from the composition.
-    """
-    data = _check_4d(x, "unpool_conv2d")
+def _unpool_conv2d_plan(shape: tuple, p: Conv2dParams, k: int) -> tuple:
+    """The plan of :func:`unpool_conv2d` for an input of `shape` [B,C,H,W]."""
     _require_int(k, 1, "unpool factor")
-    if p.stride != 1:
+    if isinstance(p.stride, bool) or p.stride != 1:
         raise ArgumentError(f"unpool_conv2d needs conv stride 1, got {p.stride!r}")
     _require_int(p.padding, 0, "unpool_conv2d padding")
-    b, c_in, h, w = data.shape
+    b, c_in, h, w = shape
     c_out, _, kh, kw = _kernel_shape(p, c_in, "unpool_conv2d")
     pad = p.padding
     ho = conv_output_size(h * k, kh, 1, pad)
@@ -275,82 +332,164 @@ def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
     mh, mw = max(0, pad - (kh - 1)), max(0, pad - (kw - 1))
     top, left = mh + kh - 1 - pad, mw + kw - 1 - pad
     hc, wc = k * h + kh - 1 + 2 * mh, k * w + kw - 1 + 2 * mw
-
-    # the tape keeps the weights array, and backward flips it again
+    # the plan keeps the weights array, and each pass flips it again
     wd = p.weights.data
-    x3 = data.reshape(b, c_in, h * w)
-    taps = np.matmul(_flipped(wd), x3).reshape(b, c_out, kh, kw, h, w)
-    canvas = np.zeros((b, c_out, hc, wc))
-    _scatter_taps(taps, k, canvas[:, :, mh:, mw:])
-    canvas = canvas[:, :, top:top + ho, left:left + wo]
-    out = canvas + p.bias.data[None, :, None, None] if p.bias is not None else canvas.copy()
 
-    def bwd(og):
+    def forward(data, relu=None):
+        x3 = (data if relu is None else _bn_relu(data, *relu)).reshape(b, c_in, h * w)
+        taps = np.matmul(_flipped(wd), x3).reshape(b, c_out, kh, kw, h, w)
+        del x3
+        canvas = np.zeros((b, c_out, hc, wc))
+        _scatter_taps(taps, k, canvas[:, :, mh:, mw:])
+        canvas = canvas[:, :, top:top + ho, left:left + wo]
+        return canvas + p.bias.data[None, :, None, None] if p.bias is not None else canvas.copy()
+
+    def backward(og, data, track_x):
         og_canvas = np.zeros((b, c_out, hc, wc))
         og_canvas[:, :, top:top + ho, left:left + wo] = og
         cols = _im2col(og_canvas[:, :, mh:, mw:], kh, kw, k, (h, w))
-        d_x = np.matmul(_flipped(wd).T, cols).reshape(data.shape)
-        d_a = np.matmul(cols, x3.transpose(0, 2, 1)).sum(axis=0)
+        d_x = np.matmul(_flipped(wd).T, cols).reshape(shape) if track_x else None
+        d_a = np.matmul(cols, data.reshape(b, c_in, h * w).transpose(0, 2, 1)).sum(axis=0)
         d_w = d_a.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
         d_b = og.sum(axis=(0, 2, 3)) if p.bias is not None else None
         return d_x, d_w, d_b
 
-    return record(out, [x, p.weights, p.bias], bwd)
+    return forward, backward
 
 
-def batchnorm(x: Tensor, p: BatchNormParams, mode: str = "train") -> Tensor:
-    """Per-channel normalization of [B,C,H,W]. Train mode normalizes with
-    the batch statistics and updates the running averages; infer mode is
-    one per-channel scale and shift folded from the running statistics."""
+def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
+    """``conv2d(unpool(x, k), p)`` at stride 1, without the unpooled zeros.
+
+    A convolution over a zero-inserted input is a transposed convolution:
+    each input value, times the flipped kernel, is added onto the output at
+    stride `k`. Forward is one matmul at input resolution and a tap scatter;
+    backward gathers the output gradient's windows at stride `k`. Only the
+    order of the float64 sums differs from the composition.
+    """
+    data = _check_4d(x, "unpool_conv2d")
+    return _record_conv(x, p, _unpool_conv2d_plan(data.shape, p, k))
+
+
+def _bn_train_grads(og, xhat, gamma, istd):
+    """Train-mode batchnorm's gradients in x, gamma and beta, from x-hat."""
+    axes = (0, 2, 3)
+    n = og.size // og.shape[1]
+    d_gamma = (og * xhat).sum(axis=axes)
+    d_beta = og.sum(axis=axes)
+    # gamma is per channel, so it comes out of both mean terms:
+    # d_x = (og - d_beta/n - xhat*d_gamma/n) * gamma*istd
+    d_x = xhat * (-d_gamma / n)[:, None, None]
+    d_x += og
+    d_x -= (d_beta / n)[:, None, None]
+    d_x *= gamma * istd
+    return d_x, d_gamma, d_beta
+
+
+def _bn_infer_grads(og, x, rmean, istd, scale):
+    """Infer-mode batchnorm's gradients in x, gamma and beta, from x."""
+    xhat = x - rmean
+    xhat *= istd
+    xhat *= og
+    return og * scale, xhat.sum(axis=(0, 2, 3)), og.sum(axis=(0, 2, 3))
+
+
+def _batchnorm_forward(x: Tensor, p: BatchNormParams, mode: str) -> tuple:
+    """Check a batchnorm of `x` and compute it up to ``(s, scale, shift,
+    grads)``: its output is ``s*scale + shift`` per channel, and
+    ``grads(og, s)`` returns the gradients in x, gamma and beta. In train
+    mode `s` is x-hat, the input normalized by the batch statistics, and
+    the running averages take those statistics; in infer mode `s` is the
+    input array and the running statistics fold into `scale` and `shift`.
+    `grads` keeps only [C] vectors, so what keeps `s` decides what a tape
+    keeps."""
     if mode not in ("train", "infer"):
         raise ArgumentError(f"unknown batchnorm mode {mode!r}")
     data = _check_4d(x, "batchnorm")
     c = data.shape[1]
     for name in ("gamma", "beta", "running_mean", "running_var"):
         _check_vector(getattr(p, name), c, f"batchnorm {name}")
-    axes = (0, 2, 3)
-    n = data.size // c
     gamma = p.gamma.data[:, None, None]
     beta = p.beta.data[:, None, None]
 
     if mode == "train":
         if data.shape[0] < 2:
             raise BatchError("train-mode batchnorm needs batch size >= 2")
+        axes = (0, 2, 3)
         mean = data.mean(axis=axes)
         xhat = data - mean[:, None, None]
-        var = (xhat * xhat).sum(axis=axes) / n     # data.var, from the centred input
+        var = (xhat * xhat).sum(axis=axes) / (data.size // c)  # data.var, from the centred input
         istd = 1.0 / np.sqrt(var[:, None, None] + BN_EPSILON)
         xhat *= istd
         p.running_mean.data = BN_MOMENTUM * p.running_mean.data + (1 - BN_MOMENTUM) * mean
         p.running_var.data = BN_MOMENTUM * p.running_var.data + (1 - BN_MOMENTUM) * var
-        out = xhat * gamma
-        out += beta
+        return xhat, gamma, beta, partial(_bn_train_grads, gamma=gamma, istd=istd)
 
-        def bwd(og):
-            d_gamma = (og * xhat).sum(axis=axes)
-            d_beta = og.sum(axis=axes)
-            # gamma is per channel, so it comes out of both mean terms:
-            # d_x = (og - d_beta/n - xhat*d_gamma/n) * gamma*istd
-            d_x = xhat * (-d_gamma / n)[:, None, None]
-            d_x += og
-            d_x -= (d_beta / n)[:, None, None]
-            d_x *= gamma * istd
-            return d_x, d_gamma, d_beta
+    rmean = p.running_mean.data[:, None, None]
+    istd = 1.0 / np.sqrt(p.running_var.data[:, None, None] + BN_EPSILON)
+    scale = gamma * istd
+    return data, scale, beta - rmean * scale, partial(_bn_infer_grads, rmean=rmean, istd=istd,
+                                                      scale=scale)
 
-    else:
-        rmean = p.running_mean.data[:, None, None]
-        istd = 1.0 / np.sqrt(p.running_var.data[:, None, None] + BN_EPSILON)
-        scale = gamma * istd
-        out = data * scale
-        out += beta - rmean * scale
 
-        def bwd(og):
-            xhat = data - rmean
-            xhat *= istd
-            xhat *= og
-            return og * scale, xhat.sum(axis=axes), og.sum(axis=axes)
+def batchnorm(x: Tensor, p: BatchNormParams, mode: str = "train") -> Tensor:
+    """Per-channel normalization of [B,C,H,W]. Train mode normalizes with
+    the batch statistics and updates the running averages; infer mode is
+    one per-channel scale and shift folded from the running statistics.
+    The tape keeps x-hat in train mode and the input in infer mode."""
+    s, scale, shift, grads = _batchnorm_forward(x, p, mode)
+    out = s * scale
+    out += shift
+
+    def bwd(og):
+        return grads(og, s)
 
     return record(out, [x, p.gamma, p.beta], bwd)
+
+
+def _record_bn_relu_conv(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dParams,
+                         plan: tuple) -> Tensor:
+    """Run a conv plan on ``relu(batchnorm(x, norm, mode))`` as one op."""
+    forward, backward = plan
+    s, scale, shift, bn_grads = _batchnorm_forward(x, norm, mode)
+    out = forward(s, (scale, shift))
+    track_z = needs_grad(x) or needs_grad(norm.gamma) or needs_grad(norm.beta)
+
+    def bwd(og):
+        z = _bn_relu(s, scale, shift)
+        d_z, d_w, d_b = backward(og, z, track_z)
+        if d_z is None:
+            return None, None, None, d_w, d_b
+        # relu's backward as T.relu computes it, written over z
+        d_z = np.multiply(d_z, z > 0.0, out=z)
+        return (*bn_grads(d_z, s), d_w, d_b)
+
+    return record(out, [x, norm.gamma, norm.beta, p.weights, p.bias], bwd)
+
+
+def bn_relu_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dParams) -> Tensor:
+    """``conv2d(relu(batchnorm(x, norm, mode)), p)`` as one op, byte for
+    byte: the pre-activation unit of a conv stack.
+
+    The ReLU output z never lives whole in forward: each conv block applies
+    batchnorm's per-channel scale and shift and the ReLU to the rows it
+    reads as it pads them. The tape keeps one activation, what batchnorm's
+    backward reads: x-hat in train mode, the input in infer mode. Backward
+    rebuilds z from it with the same float ops, runs the conv's backward
+    on it, then the ReLU's and batchnorm's. Train mode updates the running
+    statistics once, in forward.
+    """
+    data = _check_4d(x, "bn_relu_conv2d")
+    return _record_bn_relu_conv(x, norm, mode, p, _conv2d_plan(data.shape, p))
+
+
+def bn_relu_unpool_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dParams,
+                          k: int) -> Tensor:
+    """``unpool_conv2d(relu(batchnorm(x, norm, mode)), p, k)`` as one op,
+    byte for byte; the tape keeps what :func:`bn_relu_conv2d`'s keeps.
+    Forward builds the ReLU output whole for its one matmul, then drops
+    it."""
+    data = _check_4d(x, "bn_relu_unpool_conv2d")
+    return _record_bn_relu_conv(x, norm, mode, p, _unpool_conv2d_plan(data.shape, p, k))
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:

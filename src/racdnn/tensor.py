@@ -31,7 +31,11 @@ instead of keeping a copy: ``nn.conv2d`` keeps its input by reference and
 pads it again, ``relu`` keeps its output, not a mask,
 ``attention.bilinear_sample`` keeps its source by reference and its 1-D
 taps, not per-pixel planes, and ``nn.unpool_conv2d`` keeps its weights,
-not their flipped copy. An op with one input meets the second half of the
+not their flipped copy. Backward also rebuilds what is cheap to compute
+again: ``nn.bn_relu_conv2d`` and ``nn.bn_relu_unpool_conv2d`` keep only
+batchnorm's x-hat (in infer mode, their input), and backward recomputes
+the ReLU output from it, so a conv stack's tape holds one activation per
+layer. An op with one input meets the second half of the
 rule for free, because with no tracked input it records nothing.
 ``nn.conv2d`` checks its input and ``attention.bilinear_sample`` its source
 and its grid, because an image or a fixed grid is often untracked there;

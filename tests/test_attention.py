@@ -106,6 +106,9 @@ BAD_SIZES = {
     "inverse_support.out_w0": lambda: at.inverse_support(_WINDOW, 2, 0, 2, 2),
     "inverse_support.src_h4.0": lambda: at.inverse_support(_WINDOW, 2, 2, 4.0, 2),
     "inverse_support.src_w-1": lambda: at.inverse_support(_WINDOW, 2, 2, 2, -1),
+    "affine_grid.out_hTrue": lambda: at.affine_grid(_WINDOW, True, 4),
+    "st.out_wTrue": lambda: at.st(T.zeros([1, 1, 4, 4]), _WINDOW, 4, True),
+    "inverse_support.src_hTrue": lambda: at.inverse_support(_WINDOW, 2, 2, True, 2),
 }
 
 
@@ -240,9 +243,10 @@ class TestBilinearSample:
         ((1, 4), 4),            # no column left after the rows
         ((1, 4), 0),            # no row
         ((1, 4), 2.0),          # a row count that is not an integer
+        ((1, 4), True),         # a bool, which is not one either
         ((4,), 2),              # no batch axis
         ((1, 2, 2, 2), 2),      # a plane of (x, y) pairs
-    ], ids=["batch", "no-column", "no-row", "float-rows", "unbatched", "plane"])
+    ], ids=["batch", "no-column", "no-row", "float-rows", "bool-rows", "unbatched", "plane"])
     def test_grid_of_the_wrong_shape_raises(self, shape, out_h):
         with pytest.raises(ShapeError):
             at.bilinear_sample(T.Tensor(np.ones((1, 1, 3, 3))), np.zeros(shape), out_h)

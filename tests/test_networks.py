@@ -11,6 +11,7 @@ from racdnn import tensor as T
 from racdnn.errors import ArgumentError, BatchError, ShapeError
 
 from gradcheck import central_diff, central_diff_refined, rel_error
+from memory import SLACK, traced_bytes
 from ops import mul, sum_all
 
 
@@ -165,6 +166,25 @@ class TestInitialNet:
             init = N.InitialNet(p, np.random.default_rng(7))
             outs.append(init.initial_saliency(imgs)[1].data)
         assert outs[0].tobytes() == outs[1].tobytes()
+
+    def test_train_tape_keeps_one_activation_per_conv(self):
+        p, init, _ = make_nets("toy")
+        imgs = rand_images(p)
+        with T.Graph() as g:
+            _, kept, _ = traced_bytes(lambda: init.forward_raw(imgs, "train"))
+        # float64 output bytes of each conv layer, from the layer shapes
+        side, activations = p.input_size, []
+        for layer in init.encoder.layers + init.decoder.layers:
+            c_out, _, k, _ = layer.conv.weights.shape
+            if isinstance(layer, N.UnpoolConvLayer):
+                side *= 2
+            side = nn.conv_output_size(side, k, layer.conv.stride, layer.conv.padding)
+            activations.append(2 * c_out * side * side * 8)
+        code = activations[len(init.encoder.layers) - 1]
+        # beside one activation per conv, the encoder's trailing ReLU output,
+        # which the decoder's first conv keeps, and each node's Python objects;
+        # batchnorm's x-hat and a ReLU output per layer would be twice this
+        assert kept <= sum(activations) + code + len(g) * SLACK
 
     def test_dropped_forward_frees_its_graph(self):
         # the parameters outlive the pass; they must not keep its tape alive
@@ -448,7 +468,7 @@ class TestRunRefinement:
         p, init, refine = make_nets("tiny")
         imgs = rand_images(p)
         r0, _ = init.initial_saliency(imgs)
-        for n in (0, 2.5, "3"):
+        for n in (0, 2.5, "3", True):
             with pytest.raises(ArgumentError):
                 refine.run_refinement(imgs, r0, n=n)
 

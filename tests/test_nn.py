@@ -377,21 +377,38 @@ def _bn_call(**lengths):
     return nn.batchnorm(T.zeros([2, 3, 2, 2]), p, "infer")
 
 
+def _bn_relu_conv_call(op, mode="infer", b=2, gamma=3, stride=1, k=2):
+    """The fused op `op` ("conv2d" or "unpool_conv2d") over a [b,3,4,4]
+    input and a 3x3 kernel, with gamma's length `gamma`."""
+    norm = nn.BatchNormParams(T.full([gamma], 1.0), T.zeros([3]), T.zeros([3]), T.full([3], 1.0))
+    p = conv_params(np.zeros((2, 3, 3, 3)), None, stride, 1)
+    x = T.zeros([b, 3, 4, 4])
+    if op == "conv2d":
+        return lambda: nn.bn_relu_conv2d(x, norm, mode, p)
+    return lambda: nn.bn_relu_unpool_conv2d(x, norm, mode, p, k)
+
+
 BAD_ARGUMENTS = {
     "conv2d.stride0": (_conv_call(stride=0), ArgumentError),
     "conv2d.stride-1": (_conv_call(stride=-1), ArgumentError),
     "conv2d.stride1.5": (_conv_call(stride=1.5), ArgumentError),
     "conv2d.padding-1": (_conv_call(padding=-1), ArgumentError),
+    "conv2d.strideTrue": (_conv_call(stride=True), ArgumentError),
+    "conv2d.paddingFalse": (_conv_call(padding=False), ArgumentError),
     "conv2d.weights3d": (lambda: nn.conv2d(T.zeros([1, 1, 4, 4]), conv_params(np.zeros((1, 3, 3)))),
                          ShapeError),
     "unpool.factor1.5": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), 1.5), ArgumentError),
     "unpool.factor-1": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), -1), ArgumentError),
+    "unpool.factorTrue": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), True), ArgumentError),
     "unpool_conv2d.stride0": (_unpool_conv_call(stride=0), ArgumentError),
     "unpool_conv2d.stride-1": (_unpool_conv_call(stride=-1), ArgumentError),
     "unpool_conv2d.stride2": (_unpool_conv_call(stride=2), ArgumentError),
     "unpool_conv2d.padding-1": (_unpool_conv_call(padding=-1), ArgumentError),
     "unpool_conv2d.factor0": (_unpool_conv_call(k=0), ArgumentError),
     "unpool_conv2d.factor1.5": (_unpool_conv_call(k=1.5), ArgumentError),
+    "unpool_conv2d.factorTrue": (_unpool_conv_call(k=True), ArgumentError),
+    "unpool_conv2d.strideTrue": (_unpool_conv_call(stride=True), ArgumentError),
+    "unpool_conv2d.paddingTrue": (_unpool_conv_call(padding=True), ArgumentError),
     "unpool_conv2d.weights3d": (lambda: nn.unpool_conv2d(T.zeros([1, 1, 4, 4]),
                                                          conv_params(np.zeros((1, 3, 3))), 2),
                                 ShapeError),
@@ -412,6 +429,13 @@ BAD_ARGUMENTS = {
     "batchnorm.beta2": (lambda: _bn_call(beta=2), ShapeError),
     "batchnorm.running_mean2": (lambda: _bn_call(running_mean=2), ShapeError),
     "batchnorm.running_var2": (lambda: _bn_call(running_var=2), ShapeError),
+    **{f"bn_relu_{op}.{case}": (_bn_relu_conv_call(op, **kwargs), error)
+       for op in ("conv2d", "unpool_conv2d")
+       for case, kwargs, error in [("mode", {"mode": "eval"}, ArgumentError),
+                                   ("batch1", {"mode": "train", "b": 1}, BatchError),
+                                   ("gamma2", {"gamma": 2}, ShapeError),
+                                   ("strideTrue", {"stride": True}, ArgumentError)]},
+    "bn_relu_unpool_conv2d.factor0": (_bn_relu_conv_call("unpool_conv2d", k=0), ArgumentError),
 }
 
 
@@ -565,6 +589,141 @@ class TestBatchNormReference:
                    coords=list(np.ndindex(4)), tol=1e-4)
         check_grad(lambda bd: loss_from(x_data, gamma, bd), beta, p.beta.grad,
                    coords=list(np.ndindex(4)), tol=1e-4)
+
+
+class TestBnReluConv:
+    """The fused pre-activation unit against its composition
+    ``conv(relu(batchnorm(x)))``, byte for byte."""
+
+    FUSED = {"conv2d": lambda x, norm, mode, p: nn.bn_relu_conv2d(x, norm, mode, p),
+             "unpool_conv2d": lambda x, norm, mode, p: nn.bn_relu_unpool_conv2d(x, norm, mode, p, 2)}
+    COMPOSED = {"conv2d": lambda x, norm, mode, p: nn.conv2d(T.relu(nn.batchnorm(x, norm, mode)), p),
+                "unpool_conv2d": lambda x, norm, mode, p: nn.unpool_conv2d(
+                    T.relu(nn.batchnorm(x, norm, mode)), p, 2)}
+
+    @staticmethod
+    def case(k, seed=60):
+        """Input [3,4,7,6], batchnorm statistics of 4 channels, and 3 x 4 x k x k
+        weights and bias; beta straddles zero, so the ReLU cuts."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(1.0, 2.0, size=(3, 4, 7, 6))
+        stats = dict(gamma=rng.uniform(0.5, 1.5, 4), beta=rng.normal(size=4),
+                     rmean=rng.normal(size=4), rvar=rng.uniform(0.3, 3.0, 4))
+        return x, stats, rng.normal(size=(3, 4, k, k)) * 0.5, rng.normal(size=3)
+
+    @staticmethod
+    def run(op, x_data, stats, w_data, b_data, stride, pad, mode):
+        """Output, running statistics and the five gradients of sum(og * op)."""
+        x = T.Tensor(x_data, requires_grad=True)
+        norm = bn_params(4, **stats)
+        p = conv_params(w_data, b_data, stride, pad)
+        with T.Graph():
+            out = op(x, norm, mode, p)
+            og = T.Tensor(np.random.default_rng(61).normal(size=out.shape))
+            T.backward(sum_all(mul(out, og)))
+        return (out.data, norm.running_mean.data, norm.running_var.data,
+                x.grad, norm.gamma.grad, norm.beta.grad, p.weights.grad, p.bias.grad)
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("blocks", ["one", "rows"])
+    @pytest.mark.parametrize("op, k, stride, pad", [
+        ("conv2d", 3, 1, 1), ("conv2d", 3, 2, 1), ("conv2d", 1, 1, 0), ("conv2d", 5, 2, 2),
+        ("conv2d", 3, 2, 0), ("unpool_conv2d", 5, 1, 2), ("unpool_conv2d", 1, 1, 0)])
+    def test_matches_the_composition_byte_for_byte(self, op, k, stride, pad, blocks, mode,
+                                                   monkeypatch):
+        if blocks == "rows":
+            # one output row per block, so blocks share input rows
+            monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
+        x, stats, w, b = self.case(k)
+        fused = self.run(self.FUSED[op], x, stats, w, b, stride, pad, mode)
+        composed = self.run(self.COMPOSED[op], x, stats, w, b, stride, pad, mode)
+        names = "out rmean rvar d_x d_gamma d_beta d_w d_b".split()
+        for name, got, want in zip(names, fused, composed):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("op", ["conv2d", "unpool_conv2d"])
+    def test_gradients_match_finite_differences(self, op):
+        x_data, stats, w_data, b_data = self.case(3, seed=62)
+        gamma, beta = stats["gamma"], stats["beta"]
+        out, _, _, d_x, d_gamma, d_beta, d_w, d_b = self.run(
+            self.FUSED[op], x_data, stats, w_data, b_data, 1, 1, "train")
+        og = np.random.default_rng(61).normal(size=out.shape)    # the one run() uses
+
+        def loss(xd=x_data, gd=gamma, bd=beta, wd=w_data, cd=b_data):
+            norm = bn_params(4, gd, bd, stats["rmean"], stats["rvar"])
+            p = conv_params(wd, cd, 1, 1, grad=False)
+            return float((self.FUSED[op](T.Tensor(xd), norm, "train", p).data * og).sum())
+
+        check_grad(lambda a: loss(xd=a), x_data, d_x, n_coords=20, tol=1e-4)
+        check_grad(lambda a: loss(gd=a), gamma, d_gamma, coords=list(np.ndindex(4)), tol=1e-4)
+        check_grad(lambda a: loss(bd=a), beta, d_beta, coords=list(np.ndindex(4)), tol=1e-4)
+        check_grad(lambda a: loss(wd=a), w_data, d_w, n_coords=20, tol=1e-4)
+        check_grad(lambda a: loss(cd=a), b_data, d_b, coords=list(np.ndindex(3)), tol=1e-4)
+
+    @pytest.mark.parametrize("op", ["conv2d", "unpool_conv2d"])
+    def test_running_statistics_change_once_in_forward(self, op):
+        x_data, stats, w_data, b_data = self.case(3)
+        once = bn_params(4, **stats)
+        nn.batchnorm(T.Tensor(x_data), once, "train")
+
+        norm = bn_params(4, **stats)
+        x = T.Tensor(x_data, requires_grad=True)
+        with T.Graph():
+            out = self.FUSED[op](x, norm, "train", conv_params(w_data, b_data, 1, 1))
+            after_forward = (norm.running_mean.data.tobytes(), norm.running_var.data.tobytes())
+            T.backward(sum_all(out))
+        assert after_forward == (once.running_mean.data.tobytes(), once.running_var.data.tobytes())
+        assert (norm.running_mean.data.tobytes(), norm.running_var.data.tobytes()) == after_forward
+
+    @pytest.mark.parametrize("op", ["conv2d", "unpool_conv2d"])
+    def test_untracked_input_and_batchnorm_get_no_gradient(self, op):
+        x_data, stats, w_data, b_data = self.case(3)
+        *_, d_w, d_b = self.run(self.COMPOSED[op], x_data, stats, w_data, b_data, 1, 1, "train")
+        x = T.Tensor(x_data)
+        norm = bn_params(4, **stats)
+        for t in (norm.gamma, norm.beta):
+            t.requires_grad = False
+        p = conv_params(w_data, b_data, 1, 1)
+        with T.Graph():
+            out = self.FUSED[op](x, norm, "train", p)
+            og = T.Tensor(np.random.default_rng(61).normal(size=out.shape))
+            T.backward(sum_all(mul(out, og)))
+        assert x.grad is None and norm.gamma.grad is None and norm.beta.grad is None
+        assert p.weights.grad.tobytes() == d_w.tobytes() and p.bias.grad.tobytes() == d_b.tobytes()
+
+    @pytest.mark.parametrize("op", ["conv2d", "unpool_conv2d"])
+    def test_a_bad_conv_leaves_the_running_statistics(self, op):
+        x_data, stats, _, _ = self.case(3)
+        norm = bn_params(4, **stats)
+        with pytest.raises(ShapeError):
+            self.FUSED[op](T.Tensor(x_data), norm, "train", conv_params(np.zeros((3, 5, 3, 3))))
+        assert np.array_equal(norm.running_mean.data, stats["rmean"])
+        assert np.array_equal(norm.running_var.data, stats["rvar"])
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("op", ["conv2d", "unpool_conv2d"])
+    def test_tape_keeps_one_activation(self, op, mode):
+        rng = np.random.default_rng(63)
+        x = T.Tensor(rng.normal(size=(2, 8, 16, 16)), requires_grad=True)
+        norm = bn_params(8)
+        p = conv_params(rng.normal(size=(4, 8, 3, 3)), rng.normal(size=(4,)), padding=1)
+        with T.Graph():
+            out, kept, _ = traced_bytes(lambda: self.FUSED[op](x, norm, mode, p))
+        # x-hat in train mode, nothing but the input by reference in infer mode;
+        # the composition keeps x-hat and the ReLU output
+        assert kept <= out.data.nbytes + x.data.nbytes + SLACK
+        if mode == "infer":
+            assert kept <= out.data.nbytes + SLACK
+
+    def test_no_graph_forward_never_builds_the_whole_relu_output(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        x = T.Tensor(rng.normal(size=(2, 16, 32, 32)))
+        norm = bn_params(16)
+        p = conv_params(rng.normal(size=(4, 16, 3, 3)), rng.normal(size=(4,)), padding=1, grad=False)
+        budget = 64 * 1024
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
+        out, _, peak = traced_bytes(lambda: nn.bn_relu_conv2d(x, norm, "infer", p))
+        assert peak <= out.data.nbytes + 2 * budget + SLACK < out.data.nbytes + x.data.nbytes
 
 
 class TestLinear:
