@@ -244,7 +244,8 @@ class RefinementTrace:
     and the running raw map after that iteration. Entry 0 is the
     whole-image observation (the identity window and the initial map).
     What iteration i wrote is ``maps[i] - maps[i-1]``, nonzero only inside
-    ``windows[i]``."""
+    ``windows[i]``. Entry 0's map is a copy of the caller's initial map;
+    every later entry is the op output itself, which nothing writes into."""
 
     windows: list = field(default_factory=list)    # [B,3] arrays
     maps: list = field(default_factory=list)       # [B,1,M,M]
@@ -346,14 +347,14 @@ class RefineNet:
         trace = RefinementTrace()
         (h1, h2), tau = self.init_state(x, mode)
         trace.windows.append(np.tile([1.0, 0.0, 0.0], (b, 1)))
-        trace.maps.append(r.data.copy())
+        trace.maps.append(r.data.copy())     # the caller's array, which it may change
 
         for i in range(1, n):
             z = self.encoder(self.attend(x, tau), mode)
             h1 = self.conv_recurrent_step(z, h1)
             r = self.refine_step(r, h1, tau, mode)
-            trace.windows.append(tau.data.copy())
-            trace.maps.append(r.data.copy())
+            trace.windows.append(tau.data)
+            trace.maps.append(r.data)
             if i < n - 1:
                 # after the last refine step, nothing reads the next state or window
                 h2 = self.fc_recurrent_step(h1, h2)

@@ -12,7 +12,19 @@ and backward pads each block's rows again to rebuild its columns. The
 decoder's unpool then stride-1 convolution is one op,
 :func:`unpool_conv2d`: a transposed convolution that never builds the
 unpooled zeros, equal to ``conv2d(unpool(x, k), p)``, which stays as its
-reference.
+reference. Its forward computes the taps one kernel row at a time, so
+neither all the taps nor all the flipped weights exist at once.
+
+The temporaries a convolution's forward holds within one call come from
+:func:`_scratch`: a block's zero-bordered padded rows, its BN-ReLU rows
+and its im2col columns, and an unpool's BN-ReLU input, flipped weights
+row, taps row and canvas. With no graph active these are per-thread
+buffers that only grow and are reused by the next call, so a steady
+inference pass faults in no fresh pages for them; entering a graph drops
+them, and under a graph they are fresh memory, because there the tape
+sets the peak. Each use writes every element it reads. An op's output, a
+tape closure's array and a gradient never come from the workspace, and
+backward never uses it.
 
 A conv stack runs as pre-activation units: :func:`bn_relu_conv2d` and
 :func:`bn_relu_unpool_conv2d` are ``conv(relu(batchnorm(x)))`` as one
@@ -34,6 +46,7 @@ stays finite for logits far outside the sigmoid's useful range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -41,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, BatchError, ShapeError
-from .tensor import Tensor, needs_grad, record, _sigmoid
+from .tensor import Tensor, needs_grad, record, _active_graph, _sigmoid, _tls
 
 # batchnorm: weight of the old running statistic, and the variance floor
 BN_MOMENTUM = 0.9
@@ -106,24 +119,56 @@ def _kernel_shape(p: Conv2dParams, c_in: int, what: str) -> tuple:
     return p.weights.shape
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple) -> np.ndarray:
+def _scratch(slot: str, shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array of `shape` for a temporary that a
+    conv plan's forward holds within one call. With no graph active it is
+    a view of this thread's buffer `slot`, grown to fit and kept for the
+    next call, so a steady pass faults in no fresh pages; the next request
+    for `slot` overwrites it. While a graph is active it is fresh memory,
+    because there the tape, not the temporaries, sets the peak."""
+    if _active_graph() is not None:
+        return np.empty(shape)
+    bufs = getattr(_tls, "scratch", None)
+    if bufs is None:
+        bufs = _tls.scratch = {}
+    n = math.prod(shape)
+    if slot not in bufs or bufs[slot].size < n:
+        bufs[slot] = None    # the old buffer goes before the larger one comes
+        bufs[slot] = np.empty(n)
+    return bufs[slot][:n].reshape(shape)
+
+
+def _fresh(slot: str, shape: tuple) -> np.ndarray:
+    """``np.empty(shape)``: what backward allocates where forward asks
+    :func:`_scratch`."""
+    return np.empty(shape)
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple, alloc) -> np.ndarray:
     """Columns [B, C*kh*kw, h*w] of the kh x kw windows of `x` [B,C,H,W]
     whose top-left corners sit at row ``s*y`` and column ``s*x`` for (y, x)
     on the `out_hw` lattice: im2col at stride `s`, the gather
     that :func:`_scatter_taps` undoes. A read-only view of `x` when no copy
-    is needed (1x1 windows at stride 1), a fresh array otherwise."""
+    is needed (1x1 windows at stride 1), otherwise copied into
+    ``alloc("cols", shape)``: :func:`_scratch` in forward, :func:`_fresh`
+    in backward."""
     b, c = x.shape[:2]
     h, w = out_hw
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, :s * h:s, :s * w:s]   # [B,C,h,w,kh,kw]
-    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h * w)
+    windows = windows[:, :, :s * h:s, :s * w:s].transpose(0, 1, 4, 5, 2, 3)   # [B,C,kh,kw,h,w]
+    if kh == kw == s == 1:
+        return windows.reshape(b, c, h * w)
+    cols = alloc("cols", (b, c * kh * kw, h * w))
+    np.copyto(cols.reshape(windows.shape), windows)
+    return cols
 
 
 def _scatter_taps(taps: np.ndarray, s: int, canvas: np.ndarray) -> None:
     """Add every tap plane ``taps[:, :, i, j]`` of a [B,C,kh,kw,h,w] array
     onto `canvas` [B,C,H',W'] in place, the one at (y, x) landing at row
     ``i + s*y`` and column ``j + s*x``: col2im at stride `s`.
-    :func:`unpool_conv2d` passes a zero canvas; :func:`conv2d` passes each
+    :func:`unpool_conv2d` passes one kernel row's taps at a time, onto a
+    zeroed canvas from that kernel row down; :func:`conv2d` passes each
     block's rows of one shared padded-gradient canvas, so the rows that two
     blocks share add up."""
     kh, kw, h, w = taps.shape[2:]
@@ -144,24 +189,27 @@ def _blocks(b: int, ho: int, row_bytes: int) -> list:
     return [(slice(i, i + 1), slice(y, min(y + n, ho))) for i in range(b) for y in range(0, ho, n)]
 
 
-def _bn_relu(s: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+def _bn_relu(s: np.ndarray, scale: np.ndarray, shift: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
     """``max(s*scale + shift, 0)`` with per-channel `scale` and `shift`
     [C,1,1], in the float ops of ``relu(batchnorm(x))``: the batchnorm
     output ``s*scale + shift`` that :func:`_batchnorm_forward` describes,
-    then the ReLU."""
-    out = s * scale
+    then the ReLU. Written into `out` when given, else into a fresh array."""
+    out = np.multiply(s, scale, out=out)
     out += shift
     return np.maximum(out, 0.0, out=out)
 
 
 def _padded_rows(data: np.ndarray, imgs: slice, rows: slice, s: int, kh: int,
-                 pad: int, relu: Optional[tuple] = None) -> np.ndarray:
+                 pad: int, alloc, relu: Optional[tuple] = None) -> np.ndarray:
     """The zero-padded input rows ``s*rows.start`` to ``s*(rows.stop-1) + kh``
     of images `imgs`: all that output `rows` read. With `relu` a
     ``(scale, shift)`` pair, the rows hold ``_bn_relu(data, scale, shift)``
-    rather than `data`. A view of `data` when there is neither padding nor
-    `relu`; otherwise a fresh array, with padding one buffer whose zero
-    border is written around the rows copied in."""
+    rather than `data`, built in ``alloc("rows", shape)``. A view of `data`
+    when there is neither padding nor `relu`; with padding, the buffer
+    ``alloc("padded", shape)``, whose whole zero border is written around
+    the rows copied in, since a reused buffer holds stale values. `alloc`
+    is :func:`_scratch` in forward, :func:`_fresh` in backward."""
     h, w = data.shape[2:]
     top = s * rows.start - pad
     bottom = s * (rows.stop - 1) + kh - pad
@@ -169,10 +217,10 @@ def _padded_rows(data: np.ndarray, imgs: slice, rows: slice, s: int, kh: int,
     if relu is not None:
         # built whole, then copied: ufuncs that write into the strided
         # inside of the buffer measured twice as slow
-        part = _bn_relu(part, *relu)
+        part = _bn_relu(part, *relu, out=alloc("rows", part.shape))
     if not pad:
         return part
-    buf = np.empty(part.shape[:2] + (bottom - top, w + 2 * pad))
+    buf = alloc("padded", part.shape[:2] + (bottom - top, w + 2 * pad))
     y0 = max(-top, 0)
     y1 = y0 + part.shape[2]
     buf[:, :, :y0] = 0.0
@@ -213,8 +261,8 @@ def _conv2d_plan(shape: tuple, p: Conv2dParams) -> tuple:
         out = np.empty((b, c_out, ho, wo))
         out3 = out.reshape(b, c_out, ho * wo)
         for imgs, rows in blocks:
-            padded = _padded_rows(data, imgs, rows, s, kh, pad, relu)
-            cols = _im2col(padded, kh, kw, s, (rows.stop - rows.start, wo))
+            padded = _padded_rows(data, imgs, rows, s, kh, pad, _scratch, relu)
+            cols = _im2col(padded, kh, kw, s, (rows.stop - rows.start, wo), _scratch)
             np.matmul(w2, cols, out=out3[imgs, :, rows.start * wo:rows.stop * wo])
             del padded, cols    # before the next block builds its own
         if p.bias is not None:
@@ -228,8 +276,8 @@ def _conv2d_plan(shape: tuple, p: Conv2dParams) -> tuple:
         for imgs, rows in blocks:
             n = rows.stop - rows.start
             og_block = og3[imgs, :, rows.start * wo:rows.stop * wo]
-            padded = _padded_rows(data, imgs, rows, s, kh, pad)
-            cols = _im2col(padded, kh, kw, s, (n, wo))
+            padded = _padded_rows(data, imgs, rows, s, kh, pad, _fresh)
+            cols = _im2col(padded, kh, kw, s, (n, wo), _fresh)
             # batched matmul, not einsum: this einsum does not reach BLAS and measured 15x slower
             part = np.matmul(og_block, cols.transpose(0, 2, 1))
             # one image needs no sum, which would copy it; several are summed
@@ -275,7 +323,9 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     one image's output rows. Each block pads only the input rows it reads
     and matmuls its columns straight into its slice of the output, so no
     padded copy of the whole input and no columns of the whole batch are
-    built. A conv that fits the budget is one block.
+    built. A conv that fits the budget is one block. With no graph active,
+    a block's padded rows and columns live in the thread's workspace
+    (:func:`_scratch`).
 
     When the op records, the tape keeps a reference to the input array,
     which lives anyway (the op before keeps it, or the caller holds it), so
@@ -332,22 +382,32 @@ def _unpool_conv2d_plan(shape: tuple, p: Conv2dParams, k: int) -> tuple:
     mh, mw = max(0, pad - (kh - 1)), max(0, pad - (kw - 1))
     top, left = mh + kh - 1 - pad, mw + kw - 1 - pad
     hc, wc = k * h + kh - 1 + 2 * mh, k * w + kw - 1 + 2 * mw
-    # the plan keeps the weights array, and each pass flips it again
+    # the plan keeps the weights array; each forward flips one kernel row
+    # at a time into scratch, and each backward flips them all again
     wd = p.weights.data
 
     def forward(data, relu=None):
-        x3 = (data if relu is None else _bn_relu(data, *relu)).reshape(b, c_in, h * w)
-        taps = np.matmul(_flipped(wd), x3).reshape(b, c_out, kh, kw, h, w)
-        del x3
-        canvas = np.zeros((b, c_out, hc, wc))
-        _scatter_taps(taps, k, canvas[:, :, mh:, mw:])
+        if relu is not None:
+            data = _bn_relu(data, *relu, out=_scratch("rows", shape))
+        x3 = data.reshape(b, c_in, h * w)
+        canvas = _scratch("padded", (b, c_out, hc, wc))
+        canvas.fill(0.0)
+        # one kernel row of taps at a time, so neither all the taps nor all
+        # the flipped weights are built at once
+        w_i = _scratch("weights", (c_out, kw, c_in))
+        taps = _scratch("cols", (b, c_out * kw, h * w))
+        for i in range(kh):
+            # rows (o, j) of _flipped(wd)'s kernel row i
+            np.copyto(w_i, wd[:, :, kh - 1 - i, ::-1].transpose(0, 2, 1))
+            np.matmul(w_i.reshape(c_out * kw, c_in), x3, out=taps)
+            _scatter_taps(taps.reshape(b, c_out, 1, kw, h, w), k, canvas[:, :, mh + i:, mw:])
         canvas = canvas[:, :, top:top + ho, left:left + wo]
         return canvas + p.bias.data[None, :, None, None] if p.bias is not None else canvas.copy()
 
     def backward(og, data, track_x):
         og_canvas = np.zeros((b, c_out, hc, wc))
         og_canvas[:, :, top:top + ho, left:left + wo] = og
-        cols = _im2col(og_canvas[:, :, mh:, mw:], kh, kw, k, (h, w))
+        cols = _im2col(og_canvas[:, :, mh:, mw:], kh, kw, k, (h, w), _fresh)
         d_x = np.matmul(_flipped(wd).T, cols).reshape(shape) if track_x else None
         d_a = np.matmul(cols, data.reshape(b, c_in, h * w).transpose(0, 2, 1)).sum(axis=0)
         d_w = d_a.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
@@ -362,9 +422,10 @@ def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
 
     A convolution over a zero-inserted input is a transposed convolution:
     each input value, times the flipped kernel, is added onto the output at
-    stride `k`. Forward is one matmul at input resolution and a tap scatter;
-    backward gathers the output gradient's windows at stride `k`. Only the
-    order of the float64 sums differs from the composition.
+    stride `k`. Forward is, per kernel row, one matmul at input resolution
+    and a tap scatter; backward gathers the output gradient's windows at
+    stride `k`. Only the order of the float64 sums differs from the
+    composition.
     """
     data = _check_4d(x, "unpool_conv2d")
     return _record_conv(x, p, _unpool_conv2d_plan(data.shape, p, k))
@@ -486,8 +547,8 @@ def bn_relu_unpool_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2d
                           k: int) -> Tensor:
     """``unpool_conv2d(relu(batchnorm(x, norm, mode)), p, k)`` as one op,
     byte for byte; the tape keeps what :func:`bn_relu_conv2d`'s keeps.
-    Forward builds the ReLU output whole for its one matmul, then drops
-    it."""
+    Forward builds the ReLU output whole for its per-row matmuls, then
+    drops it."""
     data = _check_4d(x, "bn_relu_unpool_conv2d")
     return _record_bn_relu_conv(x, norm, mode, p, _unpool_conv2d_plan(data.shape, p, k))
 

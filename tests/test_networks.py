@@ -1,4 +1,6 @@
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -11,7 +13,7 @@ from racdnn import tensor as T
 from racdnn.errors import ArgumentError, BatchError, ShapeError
 
 from gradcheck import central_diff, central_diff_refined, rel_error
-from memory import SLACK, traced_bytes
+from memory import SLACK, drop_workspace, traced_bytes, workspace
 from ops import mul, sum_all
 
 
@@ -394,6 +396,17 @@ class TestRunRefinement:
             before, after = trace.maps[i - 1], trace.maps[i]
             np.testing.assert_array_equal(after[~support], before[~support])
 
+    def test_trace_copies_only_the_callers_initial_map(self):
+        p, init, refine = make_nets("tiny", seed=42)
+        imgs = rand_images(p, seed=43)
+        r0, _ = init.initial_saliency(imgs)
+        want = r0.data.copy()
+        _, trace = refine.run_refinement(imgs, r0, n=3)
+        r0.data += 1.0
+        assert trace.maps[0].tobytes() == want.tobytes()
+        # later entries are the op outputs themselves
+        assert trace.maps[-1] is trace.raw_final.data
+
     def test_weight_sharing_across_iterations(self):
         p, init, refine = make_nets("tiny", seed=32)
         imgs = rand_images(p, seed=33)
@@ -552,3 +565,99 @@ class TestFullPipelineGradient:
                 assert err <= 1e-3, f"{name}[{idx}]: analytic {tensor.grad[idx]:.6g} vs numeric {numeric:.6g} (rel {err:.2g})"
                 checked += 1
         assert checked >= 20
+
+
+class TestWorkspace:
+    """An infer pass with no graph takes the convolutions' temporaries from
+    this thread's scratch (``nn._scratch``); nothing it returns lives
+    there, and the scratch changes no byte."""
+
+    @staticmethod
+    def infer(init, refine, imgs, n=3):
+        """The initial maps, the refined map and the trace of one pass."""
+        r0, s0 = init.initial_saliency(imgs)
+        s, trace = refine.run_refinement(imgs, r0, n=n)
+        return r0, s0, s, trace
+
+    @staticmethod
+    def arrays(run):
+        r0, s0, s, trace = run
+        return [r0.data, s0.data, s.data, trace.raw_final.data, *trace.maps, *trace.windows]
+
+    def digest(self, run):
+        return [a.tobytes() for a in self.arrays(run)]
+
+    def test_no_array_of_an_infer_pass_shares_the_workspace(self, monkeypatch):
+        p, init, refine = make_nets("toy", seed=90)
+        imgs = rand_images(p, seed=91)
+        made = []     # the data of every tensor the pass makes: every op output
+        tensor_init = T.Tensor.__init__
+
+        def keep(t, *args, **kwargs):
+            tensor_init(t, *args, **kwargs)
+            made.append(t.data)
+
+        monkeypatch.setattr(T.Tensor, "__init__", keep)
+        arrays = self.arrays(self.infer(init, refine, imgs)) + made
+        bufs = list(workspace().values())
+        assert len(bufs) == 4 and len(made) > 50
+        assert not any(np.shares_memory(a, buf) for a in arrays for buf in bufs)
+
+    def test_passes_in_turn_in_a_fresh_thread_and_on_a_graph_are_byte_identical(self):
+        p, init, refine = make_nets("toy", seed=92)
+        imgs = rand_images(p, seed=93)
+        drop_workspace()
+        first = self.digest(self.infer(init, refine, imgs))
+        # every buffer now holds stale values from the pass before
+        second = self.digest(self.infer(init, refine, imgs))
+        fresh_thread = []
+        t = threading.Thread(target=lambda: fresh_thread.append(
+            self.digest(self.infer(init, refine, imgs))))
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        with T.Graph():
+            on_graph = self.digest(self.infer(init, refine, imgs))
+        assert first == second == fresh_thread[0] == on_graph
+
+    def test_threads_at_once_match_the_serial_bytes(self):
+        # more threads than the two CPUs a small host has, switching often
+        p, init, refine = make_nets("toy", seed=94)
+        images = [rand_images(p, seed=s) for s in (95, 96, 97)]
+        serial = [self.digest(self.infer(init, refine, im)) for im in images]
+        barrier = threading.Barrier(len(images))
+        got = [None] * len(images)
+
+        def run(i):
+            barrier.wait()
+            got[i] = self.digest(self.infer(init, refine, images[i]))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(images))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == serial
+
+    def test_paper_workspace_is_bounded(self):
+        p = N.preset("paper")
+        rng = np.random.default_rng(97)
+        init, refine = N.InitialNet(p, rng), N.RefineNet(p, rng)
+        imgs = rand_images(p, b=1, seed=98)
+        drop_workspace()
+        r0, _ = init.initial_saliency(imgs)
+        refine.run_refinement(imgs, r0, n=2)
+        # a conv block's columns, padded rows and BN-ReLU rows, or an
+        # unpool's taps of one kernel row, canvas and BN-ReLU input: each at
+        # most a block budget at paper size; and the decoder's largest
+        # kernel row of flipped 5x5 weights
+        widths = (p.code_channels,) + p.decoder
+        weights_row = max(c_out * 5 * c_in * 8 for c_in, c_out in zip(widths, p.decoder))
+        held = sum(buf.nbytes for buf in workspace().values())
+        assert 0 < held <= 3 * nn._BLOCK_BYTES + weights_row

@@ -6,7 +6,7 @@ from racdnn import tensor as T
 from racdnn.errors import ArgumentError, BatchError, ShapeError
 
 from gradcheck import check_grad
-from memory import SLACK, traced_bytes
+from memory import SLACK, UFUNC_BUFFER, drop_workspace, traced_bytes, workspace
 from ops import mul, sum_all
 
 
@@ -228,9 +228,12 @@ class TestConv2dBlocks:
         p = conv_params(rng.normal(size=(4, 8, 3, 3)), rng.normal(size=(4,)), padding=1, grad=False)
         budget = 64 * 1024
         monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
+        # from an empty workspace, which keeps one block's padded rows and
+        # columns while the bias add runs
+        drop_workspace()
         out, _, peak = traced_bytes(lambda: nn.conv2d(x, p))
         columns = 2 * 8 * 9 * 32 * 32 * 8      # [2,8*3*3,32*32]
-        assert peak <= out.data.nbytes + 2 * budget + SLACK < columns
+        assert peak <= out.data.nbytes + 2 * budget + UFUNC_BUFFER + SLACK < columns
 
     def test_row_blocks_keep_no_padded_rows(self, monkeypatch):
         rng = np.random.default_rng(18)
@@ -722,8 +725,96 @@ class TestBnReluConv:
         p = conv_params(rng.normal(size=(4, 16, 3, 3)), rng.normal(size=(4,)), padding=1, grad=False)
         budget = 64 * 1024
         monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
+        drop_workspace()
         out, _, peak = traced_bytes(lambda: nn.bn_relu_conv2d(x, norm, "infer", p))
-        assert peak <= out.data.nbytes + 2 * budget + SLACK < out.data.nbytes + x.data.nbytes
+        assert (peak <= out.data.nbytes + 2 * budget + UFUNC_BUFFER + SLACK
+                < out.data.nbytes + x.data.nbytes)
+
+
+class TestWorkspace:
+    """The forward scratch of a pass with no graph (``nn._scratch``): reused
+    across calls, never seen outside an op, never used under a graph."""
+
+    OPS = {
+        "conv2d": lambda x, norm, p: nn.conv2d(x, p),
+        "bn_relu_conv2d": lambda x, norm, p: nn.bn_relu_conv2d(x, norm, "infer", p),
+        "unpool_conv2d": lambda x, norm, p: nn.unpool_conv2d(x, p, 2),
+        "bn_relu_unpool_conv2d": lambda x, norm, p: nn.bn_relu_unpool_conv2d(x, norm, "infer", p, 2),
+    }
+
+    @staticmethod
+    def case(op, size, seed):
+        """Input [2,4,size,size], infer batchnorm statistics, and 3x3 weights
+        at padding 1 (stride 2 for the plain convs, so rows overlap)."""
+        rng = np.random.default_rng(seed)
+        x = T.Tensor(rng.normal(1.0, 2.0, size=(2, 4, size, size)))
+        norm = bn_params(4, rng.uniform(0.5, 1.5, 4), rng.normal(size=4), rng.normal(size=4),
+                         rng.uniform(0.3, 3.0, 4))
+        stride = 1 if "unpool" in op else 2
+        p = conv_params(rng.normal(size=(3, 4, 3, 3)), rng.normal(size=(3,)), stride, 1, grad=False)
+        return x, norm, p
+
+    @pytest.mark.parametrize("op", list(OPS))
+    def test_row_blocks_give_the_same_bytes_with_and_without_a_graph(self, op, monkeypatch):
+        # one output row per block, so blocks share input rows
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
+        x, norm, p = self.case(op, 9, seed=80)
+        with T.Graph():
+            want = self.OPS[op](x, norm, p).data.tobytes()
+        drop_workspace()
+        cold = self.OPS[op](x, norm, p).data.tobytes()
+        # a larger call leaves stale values in every buffer, beyond the borders
+        # and the canvas the next call needs
+        self.OPS[op](*self.case(op, 13, seed=81))
+        warm = self.OPS[op](x, norm, p).data.tobytes()
+        assert cold == want and warm == want
+
+    def test_a_graph_drops_the_workspace_and_forward_under_it_uses_none(self):
+        for op in self.OPS:
+            self.OPS[op](*self.case(op, 9, seed=82))
+        assert workspace()
+        x, norm, p = self.case("conv2d", 9, seed=82)
+        p.weights.requires_grad = True
+        with T.Graph():
+            assert workspace() == {}
+            for op in self.OPS:
+                self.OPS[op](*self.case(op, 13, seed=83))
+            loss = sum_all(self.OPS["conv2d"](x, norm, p))
+        # after the graph, as a train step runs it
+        T.backward(loss)
+        assert p.weights.grad is not None and workspace() == {}
+
+    @pytest.mark.parametrize("op", list(OPS))
+    def test_no_output_shares_the_workspace(self, op):
+        drop_workspace()
+        out = self.OPS[op](*self.case(op, 9, seed=84))
+        assert workspace()
+        assert not any(np.shares_memory(out.data, buf) for buf in workspace().values())
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("op", ["conv2d", "unpool_conv2d"])
+    def test_second_call_allocates_only_its_output(self, op, bias, monkeypatch):
+        rng = np.random.default_rng(85)
+        if op == "conv2d":
+            # a block per image: its padded rows and its 288 KiB of columns
+            x = T.Tensor(rng.normal(size=(2, 16, 32, 32)))
+            p = conv_params(rng.normal(size=(8, 16, 3, 3)), rng.normal(size=(8,)), 2, 1, grad=False)
+            monkeypatch.setattr(nn, "_BLOCK_BYTES", 16 * 9 * 16 * 16 * 8)
+            assert len(nn._blocks(2, 16, 16 * 9 * 16 * 8)) == 2
+            run = lambda: nn.conv2d(x, p)  # noqa: E731
+        else:
+            # taps of one kernel row, weights and canvas
+            x = T.Tensor(rng.normal(size=(2, 16, 8, 8)))
+            p = conv_params(rng.normal(size=(8, 16, 5, 5)), rng.normal(size=(8,)), 1, 2, grad=False)
+            run = lambda: nn.unpool_conv2d(x, p, 2)  # noqa: E731
+        if not bias:
+            p.bias = None
+        drop_workspace()
+        run()
+        out, kept, peak = traced_bytes(run)
+        # a broadcast bias add takes numpy's iterator buffer, a fixed size
+        assert peak <= out.data.nbytes + (UFUNC_BUFFER if bias else 0) + SLACK
+        assert kept <= out.data.nbytes + SLACK
 
 
 class TestLinear:
