@@ -19,12 +19,17 @@ The temporaries a convolution's forward holds within one call come from
 :func:`_scratch`: a block's zero-bordered padded rows, its BN-ReLU rows
 and its im2col columns, and an unpool's BN-ReLU input, flipped weights
 row, taps row and canvas. With no graph active these are per-thread
-buffers that only grow and are reused by the next call, so a steady
-inference pass faults in no fresh pages for them; entering a graph drops
-them, and under a graph they are fresh memory, because there the tape
-sets the peak. Each use writes every element it reads. An op's output, a
-tape closure's array and a gradient never come from the workspace, and
-backward never uses it.
+buffers that are reused by the next call, so a steady inference pass
+faults in no fresh pages for them. They only grow: each slot keeps the
+size of the largest call this thread has made, a conv block's at most
+about :data:`_BLOCK_BYTES` and an unpool's its whole batch's canvas,
+until a forward under a graph drops them all; under a graph they are
+fresh memory, because there the tape sets the peak. Each use writes
+every element it reads. An op's output, a tape closure's array and a
+gradient never come from the workspace, and backward never uses it. A
+bias add over small planes takes its broadcast bias values from the
+workspace too (:func:`_add_bias`), since numpy would otherwise buffer
+them on top of it.
 
 A conv stack runs as pre-activation units: :func:`bn_relu_conv2d` and
 :func:`bn_relu_unpool_conv2d` are ``conv(relu(batchnorm(x)))`` as one
@@ -47,6 +52,7 @@ stays finite for logits far outside the sigmoid's useful range.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -54,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, BatchError, ShapeError
-from .tensor import Tensor, needs_grad, record, _active_graph, _sigmoid, _tls
+from .tensor import Tensor, needs_grad, record, _active_graph, _sigmoid
 
 # batchnorm: weight of the old running statistic, and the variance floor
 BN_MOMENTUM = 0.9
@@ -119,18 +125,23 @@ def _kernel_shape(p: Conv2dParams, c_in: int, what: str) -> tuple:
     return p.weights.shape
 
 
+# this thread's forward scratch buffers by slot, in ``.bufs``
+_workspace = threading.local()
+
+
 def _scratch(slot: str, shape: tuple) -> np.ndarray:
     """An uninitialized float64 array of `shape` for a temporary that a
     conv plan's forward holds within one call. With no graph active it is
     a view of this thread's buffer `slot`, grown to fit and kept for the
     next call, so a steady pass faults in no fresh pages; the next request
-    for `slot` overwrites it. While a graph is active it is fresh memory,
-    because there the tape, not the temporaries, sets the peak."""
+    for `slot` overwrites it. The buffer stays as large as the largest
+    request the thread has made. While a graph is active it is fresh
+    memory, because there the tape, not the temporaries, sets the peak,
+    and the thread's buffers are dropped."""
     if _active_graph() is not None:
+        _workspace.__dict__.pop("bufs", None)
         return np.empty(shape)
-    bufs = getattr(_tls, "scratch", None)
-    if bufs is None:
-        bufs = _tls.scratch = {}
+    bufs = _workspace.__dict__.setdefault("bufs", {})
     n = math.prod(shape)
     if slot not in bufs or bufs[slot].size < n:
         bufs[slot] = None    # the old buffer goes before the larger one comes
@@ -138,27 +149,22 @@ def _scratch(slot: str, shape: tuple) -> np.ndarray:
     return bufs[slot][:n].reshape(shape)
 
 
-def _fresh(slot: str, shape: tuple) -> np.ndarray:
-    """``np.empty(shape)``: what backward allocates where forward asks
-    :func:`_scratch`."""
-    return np.empty(shape)
-
-
-def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple, alloc) -> np.ndarray:
+def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple, alloc=None) -> np.ndarray:
     """Columns [B, C*kh*kw, h*w] of the kh x kw windows of `x` [B,C,H,W]
     whose top-left corners sit at row ``s*y`` and column ``s*x`` for (y, x)
     on the `out_hw` lattice: im2col at stride `s`, the gather
     that :func:`_scatter_taps` undoes. A read-only view of `x` when no copy
-    is needed (1x1 windows at stride 1), otherwise copied into
-    ``alloc("cols", shape)``: :func:`_scratch` in forward, :func:`_fresh`
-    in backward."""
+    is needed (1x1 windows at stride 1), otherwise copied into a fresh
+    array, or into ``alloc("cols", shape)`` when forward passes
+    :func:`_scratch` as `alloc`."""
     b, c = x.shape[:2]
     h, w = out_hw
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     windows = windows[:, :, :s * h:s, :s * w:s].transpose(0, 1, 4, 5, 2, 3)   # [B,C,kh,kw,h,w]
     if kh == kw == s == 1:
         return windows.reshape(b, c, h * w)
-    cols = alloc("cols", (b, c * kh * kw, h * w))
+    shape = (b, c * kh * kw, h * w)
+    cols = np.empty(shape) if alloc is None else alloc("cols", shape)
     np.copyto(cols.reshape(windows.shape), windows)
     return cols
 
@@ -200,16 +206,41 @@ def _bn_relu(s: np.ndarray, scale: np.ndarray, shift: np.ndarray,
     return np.maximum(out, 0.0, out=out)
 
 
+def _add_bias(out: np.ndarray, bias: np.ndarray) -> None:
+    """``out += bias[None, :, None, None]`` on a contiguous `out` [B,C,H,W]
+    with no iterator buffer. A broadcast add over planes of fewer than
+    ``np.getbufsize()`` elements takes a 64 KiB buffer on top of the
+    workspace, and one add per channel measured 30 times slower there. So
+    a run of whole channels, at most that size, copies its bias values
+    into the workspace and adds them to each image's run, a same-shape
+    contiguous add; planes of more than half that size take one scalar
+    add per channel."""
+    b, c = out.shape[:2]
+    out3 = out.reshape(b, c, -1)
+    g = np.getbufsize() // out3.shape[2]     # channels per run
+    if g <= 1:
+        for ch, v in enumerate(bias):
+            out3[:, ch] += v
+        return
+    run = _scratch("bias", (min(g, c), out3.shape[2]))
+    for c0 in range(0, c, g):
+        part = run[:min(g, c - c0)]
+        np.copyto(part, bias[c0:c0 + g, None])
+        for img in out3:
+            img[c0:c0 + len(part)] += part
+
+
 def _padded_rows(data: np.ndarray, imgs: slice, rows: slice, s: int, kh: int,
-                 pad: int, alloc, relu: Optional[tuple] = None) -> np.ndarray:
+                 pad: int, relu: Optional[tuple] = None, alloc=None) -> np.ndarray:
     """The zero-padded input rows ``s*rows.start`` to ``s*(rows.stop-1) + kh``
     of images `imgs`: all that output `rows` read. With `relu` a
     ``(scale, shift)`` pair, the rows hold ``_bn_relu(data, scale, shift)``
-    rather than `data`, built in ``alloc("rows", shape)``. A view of `data`
-    when there is neither padding nor `relu`; with padding, the buffer
-    ``alloc("padded", shape)``, whose whole zero border is written around
-    the rows copied in, since a reused buffer holds stale values. `alloc`
-    is :func:`_scratch` in forward, :func:`_fresh` in backward."""
+    rather than `data`. A view of `data` when there is neither padding nor
+    `relu`; otherwise a fresh array, with padding one buffer whose whole
+    zero border is written around the rows copied in. Forward passes
+    :func:`_scratch` as `alloc`, and the BN-ReLU rows and the padded
+    buffer are then ``alloc("rows", shape)`` and ``alloc("padded",
+    shape)``, which hold stale values until written."""
     h, w = data.shape[2:]
     top = s * rows.start - pad
     bottom = s * (rows.stop - 1) + kh - pad
@@ -217,10 +248,11 @@ def _padded_rows(data: np.ndarray, imgs: slice, rows: slice, s: int, kh: int,
     if relu is not None:
         # built whole, then copied: ufuncs that write into the strided
         # inside of the buffer measured twice as slow
-        part = _bn_relu(part, *relu, out=alloc("rows", part.shape))
+        part = _bn_relu(part, *relu, out=None if alloc is None else alloc("rows", part.shape))
     if not pad:
         return part
-    buf = alloc("padded", part.shape[:2] + (bottom - top, w + 2 * pad))
+    shape = part.shape[:2] + (bottom - top, w + 2 * pad)
+    buf = np.empty(shape) if alloc is None else alloc("padded", shape)
     y0 = max(-top, 0)
     y1 = y0 + part.shape[2]
     buf[:, :, :y0] = 0.0
@@ -261,12 +293,12 @@ def _conv2d_plan(shape: tuple, p: Conv2dParams) -> tuple:
         out = np.empty((b, c_out, ho, wo))
         out3 = out.reshape(b, c_out, ho * wo)
         for imgs, rows in blocks:
-            padded = _padded_rows(data, imgs, rows, s, kh, pad, _scratch, relu)
+            padded = _padded_rows(data, imgs, rows, s, kh, pad, relu, _scratch)
             cols = _im2col(padded, kh, kw, s, (rows.stop - rows.start, wo), _scratch)
             np.matmul(w2, cols, out=out3[imgs, :, rows.start * wo:rows.stop * wo])
             del padded, cols    # before the next block builds its own
         if p.bias is not None:
-            out += p.bias.data[None, :, None, None]
+            _add_bias(out, p.bias.data)
         return out
 
     def backward(og, data, track_x):
@@ -276,8 +308,8 @@ def _conv2d_plan(shape: tuple, p: Conv2dParams) -> tuple:
         for imgs, rows in blocks:
             n = rows.stop - rows.start
             og_block = og3[imgs, :, rows.start * wo:rows.stop * wo]
-            padded = _padded_rows(data, imgs, rows, s, kh, pad, _fresh)
-            cols = _im2col(padded, kh, kw, s, (n, wo), _fresh)
+            padded = _padded_rows(data, imgs, rows, s, kh, pad)
+            cols = _im2col(padded, kh, kw, s, (n, wo))
             # batched matmul, not einsum: this einsum does not reach BLAS and measured 15x slower
             part = np.matmul(og_block, cols.transpose(0, 2, 1))
             # one image needs no sum, which would copy it; several are summed
@@ -401,13 +433,15 @@ def _unpool_conv2d_plan(shape: tuple, p: Conv2dParams, k: int) -> tuple:
             np.copyto(w_i, wd[:, :, kh - 1 - i, ::-1].transpose(0, 2, 1))
             np.matmul(w_i.reshape(c_out * kw, c_in), x3, out=taps)
             _scatter_taps(taps.reshape(b, c_out, 1, kw, h, w), k, canvas[:, :, mh + i:, mw:])
-        canvas = canvas[:, :, top:top + ho, left:left + wo]
-        return canvas + p.bias.data[None, :, None, None] if p.bias is not None else canvas.copy()
+        out = canvas[:, :, top:top + ho, left:left + wo].copy()
+        if p.bias is not None:
+            _add_bias(out, p.bias.data)
+        return out
 
     def backward(og, data, track_x):
         og_canvas = np.zeros((b, c_out, hc, wc))
         og_canvas[:, :, top:top + ho, left:left + wo] = og
-        cols = _im2col(og_canvas[:, :, mh:, mw:], kh, kw, k, (h, w), _fresh)
+        cols = _im2col(og_canvas[:, :, mh:, mw:], kh, kw, k, (h, w))
         d_x = np.matmul(_flipped(wd).T, cols).reshape(shape) if track_x else None
         d_a = np.matmul(cols, data.reshape(b, c_in, h * w).transpose(0, 2, 1)).sum(axis=0)
         d_w = d_a.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]

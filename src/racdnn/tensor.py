@@ -44,8 +44,7 @@ see only tracked inputs in the networks.
 
 Forward values are identical whether or not a graph is active; recording
 only adds bookkeeping. A forward with no graph reuses the thread's scratch
-memory for the convolutions' temporaries, and entering a graph drops it
-(``nn._scratch``).
+memory for the convolutions' temporaries (``nn._scratch``).
 """
 
 from __future__ import annotations
@@ -76,8 +75,6 @@ class Graph:
         if _active_graph() is not None:
             raise ArgumentError("a graph is already active on this thread")
         _tls.graph = self
-        # the forward scratch of passes with no graph (``nn._scratch``)
-        _tls.scratch = {}
         return self
 
     def __exit__(self, *exc):

@@ -4,18 +4,11 @@ thread's forward scratch workspace."""
 import gc
 import tracemalloc
 
-import numpy as np
-
-from racdnn import tensor as T
+from racdnn import nn
 
 # room for the Python objects an op adds to the tape: its output tensor,
 # closure, cells and node
 SLACK = 8 * 1024
-
-# the buffer numpy's ufunc iterator allocates for a broadcast operand, as in
-# a conv's bias add or batchnorm's per-channel scale and shift: at most
-# getbufsize() elements, however large the arrays
-UFUNC_BUFFER = 8 * np.getbufsize()
 
 
 def traced_bytes(fn):
@@ -34,10 +27,9 @@ def traced_bytes(fn):
 
 def workspace() -> dict:
     """This thread's scratch buffers by slot (``nn._scratch``)."""
-    return dict(getattr(T._tls, "scratch", None) or {})
+    return dict(getattr(nn._workspace, "bufs", {}))
 
 
 def drop_workspace() -> None:
-    """Empty this thread's workspace, as entering a graph does."""
-    with T.Graph():
-        pass
+    """Empty this thread's workspace, as a forward under a graph does."""
+    nn._workspace.__dict__.pop("bufs", None)

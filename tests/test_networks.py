@@ -600,7 +600,7 @@ class TestWorkspace:
         monkeypatch.setattr(T.Tensor, "__init__", keep)
         arrays = self.arrays(self.infer(init, refine, imgs)) + made
         bufs = list(workspace().values())
-        assert len(bufs) == 4 and len(made) > 50
+        assert len(bufs) == 5 and len(made) > 50
         assert not any(np.shares_memory(a, buf) for a in arrays for buf in bufs)
 
     def test_passes_in_turn_in_a_fresh_thread_and_on_a_graph_are_byte_identical(self):
@@ -649,15 +649,21 @@ class TestWorkspace:
         p = N.preset("paper")
         rng = np.random.default_rng(97)
         init, refine = N.InitialNet(p, rng), N.RefineNet(p, rng)
-        imgs = rand_images(p, b=1, seed=98)
+        b = 2     # infer_paper's batch
+        imgs = rand_images(p, b=b, seed=98)
         drop_workspace()
         r0, _ = init.initial_saliency(imgs)
         refine.run_refinement(imgs, r0, n=2)
-        # a conv block's columns, padded rows and BN-ReLU rows, or an
-        # unpool's taps of one kernel row, canvas and BN-ReLU input: each at
-        # most a block budget at paper size; and the decoder's largest
-        # kernel row of flipped 5x5 weights
+        # each slot holds the larger of a conv block's share (its BN-ReLU
+        # rows, padded rows or columns, at most a block budget at paper
+        # size) and the largest unpool's whole-batch BN-ReLU input, canvas
+        # or taps of one kernel row; the decoder's largest kernel row of
+        # flipped 5x5 weights; and a bias run of at most numpy's buffer size
         widths = (p.code_channels,) + p.decoder
+        sides = [p.code_size * 2 ** i for i in range(len(p.decoder))]
+        unpools = [(b * c_in * h * h * 8, b * c_out * (2 * h + 4) ** 2 * 8, b * c_out * 5 * h * h * 8)
+                   for c_in, c_out, h in zip(widths, p.decoder, sides)]
         weights_row = max(c_out * 5 * c_in * 8 for c_in, c_out in zip(widths, p.decoder))
+        bound = sum(max(nn._BLOCK_BYTES, *slot) for slot in zip(*unpools)) + weights_row + 8 * np.getbufsize()
         held = sum(buf.nbytes for buf in workspace().values())
-        assert 0 < held <= 3 * nn._BLOCK_BYTES + weights_row
+        assert 0 < held <= bound

@@ -6,7 +6,7 @@ from racdnn import tensor as T
 from racdnn.errors import ArgumentError, BatchError, ShapeError
 
 from gradcheck import check_grad
-from memory import SLACK, UFUNC_BUFFER, drop_workspace, traced_bytes, workspace
+from memory import SLACK, drop_workspace, traced_bytes, workspace
 from ops import mul, sum_all
 
 
@@ -228,12 +228,12 @@ class TestConv2dBlocks:
         p = conv_params(rng.normal(size=(4, 8, 3, 3)), rng.normal(size=(4,)), padding=1, grad=False)
         budget = 64 * 1024
         monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
-        # from an empty workspace, which keeps one block's padded rows and
-        # columns while the bias add runs
+        # from an empty workspace, which then keeps one block's padded rows
+        # and columns
         drop_workspace()
         out, _, peak = traced_bytes(lambda: nn.conv2d(x, p))
         columns = 2 * 8 * 9 * 32 * 32 * 8      # [2,8*3*3,32*32]
-        assert peak <= out.data.nbytes + 2 * budget + UFUNC_BUFFER + SLACK < columns
+        assert peak <= out.data.nbytes + 2 * budget + SLACK < columns
 
     def test_row_blocks_keep_no_padded_rows(self, monkeypatch):
         rng = np.random.default_rng(18)
@@ -727,8 +727,7 @@ class TestBnReluConv:
         monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
         drop_workspace()
         out, _, peak = traced_bytes(lambda: nn.bn_relu_conv2d(x, norm, "infer", p))
-        assert (peak <= out.data.nbytes + 2 * budget + UFUNC_BUFFER + SLACK
-                < out.data.nbytes + x.data.nbytes)
+        assert peak <= out.data.nbytes + 2 * budget + SLACK < out.data.nbytes + x.data.nbytes
 
 
 class TestWorkspace:
@@ -769,16 +768,18 @@ class TestWorkspace:
         warm = self.OPS[op](x, norm, p).data.tobytes()
         assert cold == want and warm == want
 
-    def test_a_graph_drops_the_workspace_and_forward_under_it_uses_none(self):
-        for op in self.OPS:
-            self.OPS[op](*self.case(op, 9, seed=82))
+    @pytest.mark.parametrize("op", list(OPS))
+    def test_a_forward_under_a_graph_drops_the_workspace_and_uses_none(self, op):
+        for each in self.OPS:
+            self.OPS[each](*self.case(each, 9, seed=82))
         assert workspace()
         x, norm, p = self.case("conv2d", 9, seed=82)
         p.weights.requires_grad = True
         with T.Graph():
+            self.OPS[op](*self.case(op, 13, seed=83))
             assert workspace() == {}
-            for op in self.OPS:
-                self.OPS[op](*self.case(op, 13, seed=83))
+            for each in self.OPS:
+                self.OPS[each](*self.case(each, 13, seed=83))
             loss = sum_all(self.OPS["conv2d"](x, norm, p))
         # after the graph, as a train step runs it
         T.backward(loss)
@@ -812,9 +813,25 @@ class TestWorkspace:
         drop_workspace()
         run()
         out, kept, peak = traced_bytes(run)
-        # a broadcast bias add takes numpy's iterator buffer, a fixed size
-        assert peak <= out.data.nbytes + (UFUNC_BUFFER if bias else 0) + SLACK
+        assert peak <= out.data.nbytes + SLACK
         assert kept <= out.data.nbytes + SLACK
+
+    # 7x7 planes in runs of 167 channels, then 133; 64x64 in runs of two,
+    # then one; 80x80, more than half of numpy's buffer size, one scalar
+    # add per channel
+    @pytest.mark.parametrize("c, side", [(300, 7), (5, 64), (3, 80)])
+    def test_bias_add_matches_the_broadcast_add_and_allocates_nothing(self, c, side):
+        rng = np.random.default_rng(86)
+        x = rng.normal(size=(2, c, side, side))
+        bias = rng.normal(size=c)
+        want = (x + bias[None, :, None, None]).tobytes()
+        drop_workspace()
+        got = x.copy()
+        nn._add_bias(got, bias)
+        again = x.copy()
+        _, kept, peak = traced_bytes(lambda: nn._add_bias(again, bias))
+        assert got.tobytes() == want and again.tobytes() == want
+        assert peak <= SLACK and kept <= SLACK
 
 
 class TestLinear:
