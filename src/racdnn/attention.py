@@ -178,8 +178,8 @@ def bilinear_sample(source: Tensor, grid: Union[Tensor, np.ndarray], out_h: int)
 
     ty, fy = _taps(gd[:, :out_h], h)
     tx, fx = _taps(gd[:, out_h:], w)
-    # the output comes before the ring and the gathers: allocated after them,
-    # it left heap holes that raised the paper infer step's peak RSS by 3.6 MB
+    # the output comes before the ring and the gathers, since allocated
+    # after them it leaves heap holes that raise the peak RSS
     out = np.empty((b, c, out_h, gd.shape[1] - out_h))
     rows = _blend(*_pair(_ring(source.data), ty, 2), fy, 2)
     _blend(*_pair(rows, tx, 3, out), fx, 3)

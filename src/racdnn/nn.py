@@ -7,38 +7,43 @@ Convolution is cross-correlation (no kernel flip), computed as im2col and
 one matmul per block: a block is a group of whole images when one image's
 columns fit :data:`_BLOCK_BYTES`, otherwise a run of one image's output
 rows, so the columns of the whole batch never exist at once. When it
-records, :func:`conv2d` keeps its input by reference, not a padded copy,
-and backward pads each block's rows again to rebuild its columns. The
-decoder's unpool then stride-1 convolution is one op,
-:func:`unpool_conv2d`: a transposed convolution that never builds the
-unpooled zeros, equal to ``conv2d(unpool(x, k), p)``, which stays as its
-reference. Its forward computes the taps one kernel row at a time, so
-neither all the taps nor all the flipped weights exist at once.
+records, :func:`conv2d` keeps its input by reference, and backward reads
+each block's window again to rebuild its columns. The decoder's unpool
+then stride-1 convolution is one op, :func:`unpool_conv2d`: a transposed
+convolution that never builds the unpooled zeros, equal to
+``conv2d(unpool(x, k), p)``, which stays as its reference. Its forward
+computes the taps one kernel row at a time, so neither all the taps nor
+all the flipped weights exist at once.
+
+Both ops gather with :func:`_window` then :func:`_im2col` and scatter
+with :func:`_scatter_taps`, under the one origin rule that
+:func:`_scatter_taps` states, so no padding is a zero canvas around an
+input or a gradient, and no result is cropped out of a larger array.
 
 The temporaries a convolution's forward holds within one call come from
-:func:`_scratch`: a block's zero-bordered padded rows, its BN-ReLU rows
-and its im2col columns, and an unpool's BN-ReLU input, flipped weights
-row, taps row and canvas. With no graph active these are per-thread
-buffers that are reused by the next call, so a steady inference pass
-faults in no fresh pages for them. They only grow: each slot keeps the
-size of the largest call this thread has made, a conv block's at most
-about :data:`_BLOCK_BYTES` and an unpool's its whole batch's canvas,
-until a forward under a graph drops them all; under a graph they are
-fresh memory, because there the tape sets the peak. Each use writes
-every element it reads. An op's output, a tape closure's array and a
-gradient never come from the workspace, and backward never uses it. A
-bias add over small planes takes its broadcast bias values from the
-workspace too (:func:`_add_bias`), since numpy would otherwise buffer
-them on top of it.
+:func:`_scratch`: a block's zero-bordered window, its BN-ReLU rows and
+its im2col columns, and an unpool's BN-ReLU input, flipped weights row,
+taps row and output-shaped canvas. With no graph active these are
+per-thread buffers that are reused by the next call, so a steady
+inference pass faults in no fresh pages for them. They only grow: each
+slot keeps the size of the largest call this thread has made, a conv
+block's at most about :data:`_BLOCK_BYTES` and an unpool's its whole
+batch's canvas, until a forward under a graph drops them all; under a
+graph they are fresh memory, because there the tape sets the peak. Each
+use writes every element it reads. An op's output, a tape closure's
+array and a gradient never come from the workspace, and backward never
+uses it. A bias add over small planes takes its broadcast bias values
+from the workspace too (:func:`_add_bias`), since numpy would otherwise
+buffer them on top of it.
 
 A conv stack runs as pre-activation units: :func:`bn_relu_conv2d` and
 :func:`bn_relu_unpool_conv2d` are ``conv(relu(batchnorm(x)))`` as one
 op, byte for byte. Each convolution is a plan, a forward and a backward
 that take the input array as an argument, so the fused op applies
 batchnorm's per-channel scale and shift and the ReLU to each block's rows
-as it pads them, keeps only what batchnorm's backward reads (x-hat in
-train mode, the input in infer mode), and rebuilds the ReLU output in
-backward. Batchnorm's statistics and gradients live in
+as it reads its window, keeps only what batchnorm's backward reads
+(x-hat in train mode, the input in infer mode), and rebuilds the ReLU
+output in backward. Batchnorm's statistics and gradients live in
 :func:`_batchnorm_forward`, which :func:`batchnorm` shares.
 
 A stride, padding or unpool factor that is not an integer in range (a
@@ -169,18 +174,28 @@ def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple, alloc=None) 
     return cols
 
 
-def _scatter_taps(taps: np.ndarray, s: int, canvas: np.ndarray) -> None:
-    """Add every tap plane ``taps[:, :, i, j]`` of a [B,C,kh,kw,h,w] array
-    onto `canvas` [B,C,H',W'] in place, the one at (y, x) landing at row
-    ``i + s*y`` and column ``j + s*x``: col2im at stride `s`.
-    :func:`unpool_conv2d` passes one kernel row's taps at a time, onto a
-    zeroed canvas from that kernel row down; :func:`conv2d` passes each
-    block's rows of one shared padded-gradient canvas, so the rows that two
-    blocks share add up."""
+def _lattice(origin: int, s: int, n: int, size: int) -> tuple:
+    """The (source, target) slices of the points ``origin + s*t`` for t in
+    ``0:n`` that lie in ``0:size``; both empty when none does."""
+    t0 = max(0, -(origin // s))
+    t1 = max(t0, min(n, (size - 1 - origin) // s + 1))
+    return slice(t0, t1), slice(origin + s * t0, origin + s * t1, s)
+
+
+def _scatter_taps(taps: np.ndarray, s: int, out: np.ndarray, top: int, left: int) -> None:
+    """Add every tap of `taps` [B,C,kh,kw,h,w] onto `out` [B,C,H,W] in
+    place, tap (i, j) of source (y, x) at row ``i + s*y - top`` and column
+    ``j + s*x - left``, and drop the taps that land outside `out`: col2im
+    at stride `s`. This is the origin rule of both convolutions. Its
+    adjoint, the gather, is :func:`_im2col` at stride `s` of the window
+    ``_window(out, ..., -top, ..., -left, ...)``, which reads zero outside
+    `out`."""
     kh, kw, h, w = taps.shape[2:]
+    cols = [_lattice(j - left, s, w, out.shape[3]) for j in range(kw)]
     for i in range(kh):
-        for j in range(kw):
-            canvas[:, :, i:i + s * h:s, j:j + s * w:s] += taps[:, :, i, j]
+        src_y, dst_y = _lattice(i - top, s, h, out.shape[2])
+        for j, (src_x, dst_x) in enumerate(cols):
+            out[:, :, dst_y, dst_x] += taps[:, :, i, j, src_y, src_x]
 
 
 def _blocks(b: int, ho: int, row_bytes: int) -> list:
@@ -210,11 +225,11 @@ def _add_bias(out: np.ndarray, bias: np.ndarray) -> None:
     """``out += bias[None, :, None, None]`` on a contiguous `out` [B,C,H,W]
     with no iterator buffer. A broadcast add over planes of fewer than
     ``np.getbufsize()`` elements takes a 64 KiB buffer on top of the
-    workspace, and one add per channel measured 30 times slower there. So
-    a run of whole channels, at most that size, copies its bias values
-    into the workspace and adds them to each image's run, a same-shape
-    contiguous add; planes of more than half that size take one scalar
-    add per channel."""
+    workspace, and one add per channel is much slower there. So a run of
+    whole channels, at most that size, copies its bias values into the
+    workspace and adds them to each image's run, a same-shape contiguous
+    add; planes of more than half that size take one scalar add per
+    channel."""
     b, c = out.shape[:2]
     out3 = out.reshape(b, c, -1)
     g = np.getbufsize() // out3.shape[2]     # channels per run
@@ -230,36 +245,34 @@ def _add_bias(out: np.ndarray, bias: np.ndarray) -> None:
             img[c0:c0 + len(part)] += part
 
 
-def _padded_rows(data: np.ndarray, imgs: slice, rows: slice, s: int, kh: int,
-                 pad: int, relu: Optional[tuple] = None, alloc=None) -> np.ndarray:
-    """The zero-padded input rows ``s*rows.start`` to ``s*(rows.stop-1) + kh``
-    of images `imgs`: all that output `rows` read. With `relu` a
-    ``(scale, shift)`` pair, the rows hold ``_bn_relu(data, scale, shift)``
-    rather than `data`. A view of `data` when there is neither padding nor
-    `relu`; otherwise a fresh array, with padding one buffer whose whole
-    zero border is written around the rows copied in. Forward passes
-    :func:`_scratch` as `alloc`, and the BN-ReLU rows and the padded
-    buffer are then ``alloc("rows", shape)`` and ``alloc("padded",
-    shape)``, which hold stale values until written."""
-    h, w = data.shape[2:]
-    top = s * rows.start - pad
-    bottom = s * (rows.stop - 1) + kh - pad
-    part = data[imgs, :, max(top, 0):min(bottom, h)]
+def _window(data: np.ndarray, imgs: slice, y0: int, y1: int, x0: int, x1: int,
+            relu: Optional[tuple] = None, alloc=None) -> np.ndarray:
+    """Rows ``y0:y1`` and columns ``x0:x1`` of images `imgs` of `data`
+    [B,C,H,W], read as zero wherever the window lies outside `data`. With
+    `relu` a ``(scale, shift)`` pair, the window holds ``_bn_relu(data,
+    scale, shift)`` rather than `data`. A view of `data` when the window
+    lies inside it and there is no `relu`; otherwise a fresh array, and
+    outside `data` one buffer whose zero border is written around the part
+    copied in. Forward passes :func:`_scratch` as `alloc`, and the BN-ReLU
+    part and the buffer are then ``alloc("rows", shape)`` and
+    ``alloc("padded", shape)``, which hold stale values until written."""
+    # window row t is data row y0 + t: the lattice at stride 1
+    win_y, dat_y = _lattice(y0, 1, y1 - y0, data.shape[2])
+    win_x, dat_x = _lattice(x0, 1, x1 - x0, data.shape[3])
+    part = data[imgs, :, dat_y, dat_x]
     if relu is not None:
         # built whole, then copied: ufuncs that write into the strided
-        # inside of the buffer measured twice as slow
+        # inside of the buffer are slower
         part = _bn_relu(part, *relu, out=None if alloc is None else alloc("rows", part.shape))
-    if not pad:
+    shape = part.shape[:2] + (y1 - y0, x1 - x0)
+    if part.shape == shape:
         return part
-    shape = part.shape[:2] + (bottom - top, w + 2 * pad)
     buf = np.empty(shape) if alloc is None else alloc("padded", shape)
-    y0 = max(-top, 0)
-    y1 = y0 + part.shape[2]
-    buf[:, :, :y0] = 0.0
-    buf[:, :, y1:] = 0.0
-    buf[:, :, y0:y1, :pad] = 0.0
-    buf[:, :, y0:y1, pad + w:] = 0.0
-    buf[:, :, y0:y1, pad:pad + w] = part
+    buf[:, :, :win_y.start] = 0.0
+    buf[:, :, win_y.stop:] = 0.0
+    buf[:, :, win_y, :win_x.start] = 0.0
+    buf[:, :, win_y, win_x.stop:] = 0.0
+    buf[:, :, win_y, win_x] = part
     return buf
 
 
@@ -287,13 +300,17 @@ def _conv2d_plan(shape: tuple, p: Conv2dParams) -> tuple:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h}x{w} (pad {pad})")
     w2 = p.weights.data.reshape(c_out, c_in * kh * kw)
     blocks = _blocks(b, ho, c_in * kh * kw * wo * 8)    # float64 columns
-    hp, wp = h + 2 * pad, w + 2 * pad
+
+    def window(data, imgs, rows, relu=None, alloc=None):
+        """The padded input that output `rows` of images `imgs` read."""
+        return _window(data, imgs, s * rows.start - pad, s * (rows.stop - 1) + kh - pad,
+                       -pad, w + pad, relu, alloc)
 
     def forward(data, relu=None):
         out = np.empty((b, c_out, ho, wo))
         out3 = out.reshape(b, c_out, ho * wo)
         for imgs, rows in blocks:
-            padded = _padded_rows(data, imgs, rows, s, kh, pad, relu, _scratch)
+            padded = window(data, imgs, rows, relu, _scratch)
             cols = _im2col(padded, kh, kw, s, (rows.stop - rows.start, wo), _scratch)
             np.matmul(w2, cols, out=out3[imgs, :, rows.start * wo:rows.stop * wo])
             del padded, cols    # before the next block builds its own
@@ -304,13 +321,12 @@ def _conv2d_plan(shape: tuple, p: Conv2dParams) -> tuple:
     def backward(og, data, track_x):
         og3 = og.reshape(b, c_out, ho * wo)
         d_w = None
-        d_padded = np.zeros((b, c_in, hp, wp)) if track_x else None
+        d_x = np.zeros(shape) if track_x else None
         for imgs, rows in blocks:
             n = rows.stop - rows.start
             og_block = og3[imgs, :, rows.start * wo:rows.stop * wo]
-            padded = _padded_rows(data, imgs, rows, s, kh, pad)
-            cols = _im2col(padded, kh, kw, s, (n, wo))
-            # batched matmul, not einsum: this einsum does not reach BLAS and measured 15x slower
+            cols = _im2col(window(data, imgs, rows), kh, kw, s, (n, wo))
+            # batched matmul, not einsum, which does not reach BLAS here
             part = np.matmul(og_block, cols.transpose(0, 2, 1))
             # one image needs no sum, which would copy it; several are summed
             # at once, so d_w never keeps a whole [n, C_out, K] product alive
@@ -322,15 +338,10 @@ def _conv2d_plan(shape: tuple, p: Conv2dParams) -> tuple:
             if track_x:
                 # for 1x1 kernels at stride 1 the columns are a read-only view of the input
                 d_cols = np.matmul(w2.T, og_block, out=cols if cols.flags.writeable else None)
-                top = s * rows.start
-                _scatter_taps(d_cols.reshape(-1, c_in, kh, kw, n, wo), s,
-                              d_padded[imgs, :, top:top + padded.shape[2]])
+                _scatter_taps(d_cols.reshape(-1, c_in, kh, kw, n, wo), s, d_x[imgs],
+                              pad - s * rows.start, pad)
         d_b = og3.sum(axis=(0, 2)) if p.bias is not None else None
-        d_w = d_w.reshape(p.weights.shape)
-        if not track_x:
-            return None, d_w, d_b
-        d_x = d_padded[:, :, pad:hp - pad, pad:wp - pad] if pad else d_padded
-        return d_x, d_w, d_b
+        return d_x, d_w.reshape(p.weights.shape), d_b
 
     return forward, backward
 
@@ -364,8 +375,8 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     the op adds no activation of its own. Backward pads each block's rows
     again and rebuilds its columns for the weight gradient, summed over
     blocks, then reuses that buffer for the input gradient's columns,
-    whose taps land in one shared padded-gradient canvas. An untracked
-    input gets no gradient.
+    whose taps add straight into the input gradient, those on the padding
+    dropped. An untracked input gets no gradient.
     """
     data = _check_4d(x, "conv2d")
     return _record_conv(x, p, _conv2d_plan(data.shape, p))
@@ -406,14 +417,9 @@ def _unpool_conv2d_plan(shape: tuple, p: Conv2dParams, k: int) -> tuple:
     if ho < 1 or wo < 1:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h * k}x{w * k} (pad {pad})")
 
-    # the canvas is the full correlation of the unpooled input inside a
-    # margin of mh rows and mw columns, nonzero only where the padding
-    # exceeds the kernel's reach: flipped tap (i, j) of input (y, x) lands
-    # at (mh + k*y + i, mw + k*x + j), and the output starts at canvas row
-    # mh+kh-1-pad and column mw+kw-1-pad
-    mh, mw = max(0, pad - (kh - 1)), max(0, pad - (kw - 1))
-    top, left = mh + kh - 1 - pad, mw + kw - 1 - pad
-    hc, wc = k * h + kh - 1 + 2 * mh, k * w + kw - 1 + 2 * mw
+    # flipped tap (i, j) of input (y, x) lands at output row i + k*y - top
+    # and column j + k*x - left
+    top, left = kh - 1 - pad, kw - 1 - pad
     # the plan keeps the weights array; each forward flips one kernel row
     # at a time into scratch, and each backward flips them all again
     wd = p.weights.data
@@ -422,7 +428,7 @@ def _unpool_conv2d_plan(shape: tuple, p: Conv2dParams, k: int) -> tuple:
         if relu is not None:
             data = _bn_relu(data, *relu, out=_scratch("rows", shape))
         x3 = data.reshape(b, c_in, h * w)
-        canvas = _scratch("padded", (b, c_out, hc, wc))
+        canvas = _scratch("padded", (b, c_out, ho, wo))
         canvas.fill(0.0)
         # one kernel row of taps at a time, so neither all the taps nor all
         # the flipped weights are built at once
@@ -432,16 +438,16 @@ def _unpool_conv2d_plan(shape: tuple, p: Conv2dParams, k: int) -> tuple:
             # rows (o, j) of _flipped(wd)'s kernel row i
             np.copyto(w_i, wd[:, :, kh - 1 - i, ::-1].transpose(0, 2, 1))
             np.matmul(w_i.reshape(c_out * kw, c_in), x3, out=taps)
-            _scatter_taps(taps.reshape(b, c_out, 1, kw, h, w), k, canvas[:, :, mh + i:, mw:])
-        out = canvas[:, :, top:top + ho, left:left + wo].copy()
+            _scatter_taps(taps.reshape(b, c_out, 1, kw, h, w), k, canvas, top - i, left)
+        out = canvas.copy()
         if p.bias is not None:
             _add_bias(out, p.bias.data)
         return out
 
     def backward(og, data, track_x):
-        og_canvas = np.zeros((b, c_out, hc, wc))
-        og_canvas[:, :, top:top + ho, left:left + wo] = og
-        cols = _im2col(og_canvas[:, :, mh:, mw:], kh, kw, k, (h, w))
+        window = _window(og, slice(None), -top, k * (h - 1) + kh - top,
+                         -left, k * (w - 1) + kw - left)
+        cols = _im2col(window, kh, kw, k, (h, w))
         d_x = np.matmul(_flipped(wd).T, cols).reshape(shape) if track_x else None
         d_a = np.matmul(cols, data.reshape(b, c_in, h * w).transpose(0, 2, 1)).sum(axis=0)
         d_w = d_a.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]

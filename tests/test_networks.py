@@ -655,13 +655,14 @@ class TestWorkspace:
         r0, _ = init.initial_saliency(imgs)
         refine.run_refinement(imgs, r0, n=2)
         # each slot holds the larger of a conv block's share (its BN-ReLU
-        # rows, padded rows or columns, at most a block budget at paper
+        # rows, padded window or columns, at most a block budget at paper
         # size) and the largest unpool's whole-batch BN-ReLU input, canvas
-        # or taps of one kernel row; the decoder's largest kernel row of
-        # flipped 5x5 weights; and a bias run of at most numpy's buffer size
+        # the shape of its 2h x 2h output, or taps of one kernel row; the
+        # decoder's largest kernel row of flipped 5x5 weights; and a bias
+        # run of at most numpy's buffer size
         widths = (p.code_channels,) + p.decoder
         sides = [p.code_size * 2 ** i for i in range(len(p.decoder))]
-        unpools = [(b * c_in * h * h * 8, b * c_out * (2 * h + 4) ** 2 * 8, b * c_out * 5 * h * h * 8)
+        unpools = [(b * c_in * h * h * 8, b * c_out * (2 * h) ** 2 * 8, b * c_out * 5 * h * h * 8)
                    for c_in, c_out, h in zip(widths, p.decoder, sides)]
         weights_row = max(c_out * 5 * c_in * 8 for c_in, c_out in zip(widths, p.decoder))
         bound = sum(max(nn._BLOCK_BYTES, *slot) for slot in zip(*unpools)) + weights_row + 8 * np.getbufsize()

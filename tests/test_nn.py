@@ -181,8 +181,11 @@ class TestConv2dBlocks:
         out = nn.conv2d(T.Tensor(x_data), conv_params(w_data, b_data, stride, pad, grad=False))
         return (out.data,) + TestConv2d.sigmoid_sum_grads(x_data, w_data, b_data, stride, pad)
 
+    # (1, 1, 3) and (3, 1, 4): padding beyond the kernel's reach, so a block
+    # of one output row can read padding rows only
     @pytest.mark.parametrize("split", ["rows", "row", "images"])
-    @pytest.mark.parametrize("k, stride, pad", [(1, 1, 0), (3, 2, 1), (5, 1, 2), (5, 2, 2)])
+    @pytest.mark.parametrize("k, stride, pad", [(1, 1, 0), (3, 2, 1), (5, 1, 2), (5, 2, 2),
+                                                (1, 1, 3), (3, 1, 4)])
     def test_blocks_match_one_block(self, k, stride, pad, split, monkeypatch):
         rng = np.random.default_rng(15)
         x_data = rng.normal(size=(3, 2, 7, 7))
@@ -247,11 +250,88 @@ class TestConv2dBlocks:
         padded = 2 * 4 * 18 * 18 * 8           # [2,4,18,18]; the blocks' rows overlap and take more
         assert kept <= out.data.nbytes + SLACK < out.data.nbytes + padded
 
+    def test_backward_allocates_no_padded_gradient_canvas(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        x = T.Tensor(rng.normal(size=(2, 16, 48, 48)), requires_grad=True)
+        p = conv_params(rng.normal(size=(2, 16, 3, 3)), None, padding=1, grad=False)
+        budget = 2 * 16 * 9 * 48 * 8        # two output rows of columns
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
+        with T.Graph():
+            out = nn.conv2d(x, p)
+            loss = sum_all(out)
+        _, kept, peak = traced_bytes(lambda: T.backward(loss))
+        # the input gradient, the output gradient, a block's window and
+        # columns, and numpy's iterator buffers for a strided add's operands
+        bound = x.data.nbytes + out.data.nbytes + 2 * budget + 16 * np.getbufsize() + SLACK
+        canvas = 2 * 16 * 50 * 50 * 8       # [2,16,50,50], and a leaf's copy of its inside
+        assert x.grad.shape == x.shape and kept <= x.data.nbytes + SLACK
+        assert peak <= bound < canvas + x.data.nbytes
+
     def test_paper_encoder_block_counts(self):
         # (c_in, kernel, output side) of the paper encoder's layers at B=2
         layers = [(3, 5, 112), (64, 3, 56), (128, 3, 28), (256, 3, 14), (512, 3, 7)]
         counts = [len(nn._blocks(2, ho, c_in * k * k * ho * 8)) for c_in, k, ho in layers]
         assert counts == [4, 8, 4, 2, 1]
+
+
+class TestOriginRule:
+    """``nn._scatter_taps`` and the gather ``nn._im2col(nn._window(...))``
+    place tap (i, j) of source (y, x) at row ``i + s*y - top`` and column
+    ``j + s*x - left`` of the target, and skip or read zero outside it."""
+
+    @staticmethod
+    def scatter_by_loops(taps, s, shape, top, left):
+        out = np.zeros(shape)
+        kh, kw, h, w = taps.shape[2:]
+        for i, j, y, x in np.ndindex(kh, kw, h, w):
+            r, c = i + s * y - top, j + s * x - left
+            if 0 <= r < shape[2] and 0 <= c < shape[3]:
+                out[:, :, r, c] += taps[:, :, i, j, y, x]
+        return out
+
+    def test_scatter_is_the_adjoint_of_the_gather(self):
+        rng = np.random.default_rng(24)
+        # draws whose window lies partly outside the target, and draws where
+        # no tap lands on it at all
+        outside = {"partly": 0, "none lands": 0}
+        for _ in range(200):
+            kh, kw = rng.integers(1, 6, size=2)
+            s = int(rng.integers(1, 4))
+            top, left = (int(v) for v in rng.integers(-3, 6, size=2))
+            h, w = rng.integers(1, 5, size=2)
+            shape = (2, 3) + tuple(int(v) for v in rng.integers(1, 10, size=2))
+            taps = rng.normal(size=(2, 3, kh, kw, h, w))
+            y = rng.normal(size=shape)
+
+            out = np.zeros(shape)
+            nn._scatter_taps(taps, s, out, top, left)
+            np.testing.assert_array_equal(out, self.scatter_by_loops(taps, s, shape, top, left))
+
+            def gather(a):
+                window = nn._window(a, slice(None), -top, s * (h - 1) + kh - top,
+                                    -left, s * (w - 1) + kw - left)
+                return nn._im2col(window, kh, kw, s, (h, w)).reshape(taps.shape)
+
+            lhs, rhs = (out * y).sum(), (taps * gather(y)).sum()
+            scale = (np.abs(taps) * gather(np.abs(y))).sum()
+            assert abs(lhs - rhs) <= 1e-12 * scale
+            inside = (-top >= 0 and -left >= 0 and s * (h - 1) + kh - top <= shape[2]
+                      and s * (w - 1) + kw - left <= shape[3])
+            if scale == 0.0:
+                outside["none lands"] += 1
+            elif not inside:
+                outside["partly"] += 1
+        assert min(outside.values()) >= 10
+
+    def test_window_inside_is_a_view_and_outside_reads_zero(self):
+        data = np.random.default_rng(25).normal(size=(2, 3, 5, 6))
+        inside = nn._window(data, slice(1, 2), 1, 4, 0, 6)
+        assert np.shares_memory(inside, data)
+        np.testing.assert_array_equal(inside, data[1:2, :, 1:4])
+        for y0, y1 in [(-4, -1), (7, 9), (-2, 7)]:
+            got = nn._window(data, slice(None), y0, y1, -1, 7)
+            want = np.pad(data, ((0, 0), (0, 0), (4, 4), (1, 1)))[:, :, y0 + 4:y1 + 4]
+            np.testing.assert_array_equal(got, want)
 
 
 class TestUnpool:

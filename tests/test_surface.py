@@ -1,4 +1,4 @@
-"""Every public module-level function and class of racdnn has a caller.
+"""Every module-level function and class of racdnn has a caller.
 
 A name counts as used when code in ``src/racdnn`` or ``perfbench/`` loads
 it: bare inside its own module, through an import, as an attribute of a
@@ -6,7 +6,9 @@ module alias, or as the string beside a module alias in a tuple or call,
 the way ``perfbench/tracing.py`` lists the ops it wraps and ``getattr``
 reads them. Aliases are resolved to the modules they name, so
 ``np.matmul`` is not a use of ``racdnn.tensor.matmul``. Tests do not
-count: an API that only its tests call belongs in a test helper.
+count: an API that only its tests call belongs in a test helper. The
+rule holds for ``_``-prefixed helpers too, so a helper that a change
+leaves behind is found, not only a public name.
 """
 
 import ast
@@ -41,8 +43,7 @@ def imports(name: str, tree: ast.Module) -> dict:
 def surface_and_uses():
     trees = {module_name(p): ast.parse(p.read_text()) for p in SOURCES}
     bound = {name: imports(name, tree) for name, tree in trees.items()}
-    defs = {name: {n.name for n in tree.body
-                   if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")}
+    defs = {name: {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
             for name, tree in trees.items()}
 
     def resolve(dotted: str) -> str:
@@ -77,9 +78,21 @@ def surface_and_uses():
     return surface, used
 
 
+def private(dotted: str) -> bool:
+    return dotted.rpartition(".")[2].startswith("_")
+
+
 def test_every_public_name_has_a_caller():
     surface, used = surface_and_uses()
-    unused = sorted(surface - used)
+    unused = sorted(n for n in surface - used if not private(n))
+    assert not unused, f"no caller in src/racdnn or perfbench/: {unused}"
+
+
+def test_every_private_helper_has_a_caller():
+    surface, used = surface_and_uses()
+    helpers = {n for n in surface if private(n)}
+    assert "racdnn.nn._scatter_taps" in helpers
+    unused = sorted(helpers - used)
     assert not unused, f"no caller in src/racdnn or perfbench/: {unused}"
 
 
