@@ -39,12 +39,13 @@ buffer them on top of it.
 A conv stack runs as pre-activation units: :func:`bn_relu_conv2d` and
 :func:`bn_relu_unpool_conv2d` are ``conv(relu(batchnorm(x)))`` as one
 op, byte for byte. Each convolution is a plan, a forward and a backward
-that take the input array as an argument, so the fused op applies
-batchnorm's per-channel scale and shift and the ReLU to each block's rows
-as it reads its window, keeps only what batchnorm's backward reads
-(x-hat in train mode, the input in infer mode), and rebuilds the ReLU
-output in backward. Batchnorm's statistics and gradients live in
-:func:`_batchnorm_forward`, which :func:`batchnorm` shares.
+that take the input array and the same optional BN-ReLU as arguments, so
+the fused op applies batchnorm's per-channel scale and shift and the ReLU
+to each block's rows as it reads its window, in forward and again in
+backward, and keeps only what batchnorm's backward reads (x-hat in train
+mode, the input in infer mode). Batchnorm's statistics and gradients live
+in :func:`_batchnorm_forward`, which :func:`batchnorm` shares; its
+gradients are written over the output gradient they are handed.
 
 A stride, padding or unpool factor that is not an integer in range (a
 bool is not one) raises :class:`~racdnn.errors.ArgumentError`; weights
@@ -199,10 +200,12 @@ def _scatter_taps(taps: np.ndarray, s: int, out: np.ndarray, top: int, left: int
 
 
 def _blocks(b: int, ho: int, row_bytes: int) -> list:
-    """The (images, output rows) slices that :func:`conv2d` works in, for a
-    batch of `b` images of `ho` output rows whose columns take `row_bytes`
-    per output row: groups of whole images when one image's columns fit
-    :data:`_BLOCK_BYTES`, otherwise runs of one image's output rows."""
+    """The (images, rows) slices that :func:`conv2d` works in, for a batch
+    of `b` images of `ho` output rows whose columns take `row_bytes` per
+    output row: groups of whole images when one image's columns fit
+    :data:`_BLOCK_BYTES`, otherwise runs of one image's output rows.
+    Batchnorm's backward forms its input gradient in the same chunks of
+    its input rows."""
     if row_bytes * ho <= _BLOCK_BYTES:
         n = _BLOCK_BYTES // (row_bytes * ho)
         return [(slice(i, min(i + n, b)), slice(0, ho)) for i in range(0, b, n)]
@@ -246,11 +249,14 @@ def _add_bias(out: np.ndarray, bias: np.ndarray) -> None:
 
 
 def _window(data: np.ndarray, imgs: slice, y0: int, y1: int, x0: int, x1: int,
-            relu: Optional[tuple] = None, alloc=None) -> np.ndarray:
+            relu: Optional[tuple] = None, alloc=None,
+            mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Rows ``y0:y1`` and columns ``x0:x1`` of images `imgs` of `data`
     [B,C,H,W], read as zero wherever the window lies outside `data`. With
     `relu` a ``(scale, shift)`` pair, the window holds ``_bn_relu(data,
-    scale, shift)`` rather than `data`. A view of `data` when the window
+    scale, shift)`` rather than `data`, and a bool `mask` of `data`'s shape,
+    when given, takes that output's ``> 0`` where the window lies inside
+    `data`. A view of `data` when the window
     lies inside it and there is no `relu`; otherwise a fresh array, and
     outside `data` one buffer whose zero border is written around the part
     copied in. Forward passes :func:`_scratch` as `alloc`, and the BN-ReLU
@@ -264,6 +270,8 @@ def _window(data: np.ndarray, imgs: slice, y0: int, y1: int, x0: int, x1: int,
         # built whole, then copied: ufuncs that write into the strided
         # inside of the buffer are slower
         part = _bn_relu(part, *relu, out=None if alloc is None else alloc("rows", part.shape))
+        if mask is not None:
+            np.greater(part, 0.0, out=mask[imgs, :, dat_y, dat_x])
     shape = part.shape[:2] + (y1 - y0, x1 - x0)
     if part.shape == shape:
         return part
@@ -280,9 +288,10 @@ def _window(data: np.ndarray, imgs: slice, y0: int, y1: int, x0: int, x1: int,
 # and returns the (forward, backward) pair that computes it:
 #   forward(data, relu=None) -> the output for the input `data`, or, with
 #       `relu` a (scale, shift) pair, for the input _bn_relu(data, *relu);
-#   backward(og, data, track_x) -> the gradients in the input, the weights
-#       and the bias, with None for the input unless `track_x`; `data` is the
-#       input array itself.
+#   backward(og, data, track_x, relu=None) -> the gradients in the input,
+#       the weights and the bias, with None for the input unless `track_x`;
+#       `data` and `relu` are what forward took, and with `relu` the input
+#       gradient is the one in the ReLU's input: ReLU's mask applied.
 # Neither closes over an input array, so the op that records a plan decides
 # what its tape keeps.
 
@@ -301,10 +310,10 @@ def _conv2d_plan(shape: tuple, p: Conv2dParams) -> tuple:
     w2 = p.weights.data.reshape(c_out, c_in * kh * kw)
     blocks = _blocks(b, ho, c_in * kh * kw * wo * 8)    # float64 columns
 
-    def window(data, imgs, rows, relu=None, alloc=None):
+    def window(data, imgs, rows, relu=None, alloc=None, mask=None):
         """The padded input that output `rows` of images `imgs` read."""
         return _window(data, imgs, s * rows.start - pad, s * (rows.stop - 1) + kh - pad,
-                       -pad, w + pad, relu, alloc)
+                       -pad, w + pad, relu, alloc, mask)
 
     def forward(data, relu=None):
         out = np.empty((b, c_out, ho, wo))
@@ -318,14 +327,18 @@ def _conv2d_plan(shape: tuple, p: Conv2dParams) -> tuple:
             _add_bias(out, p.bias.data)
         return out
 
-    def backward(og, data, track_x):
+    def backward(og, data, track_x, relu=None):
         og3 = og.reshape(b, c_out, ho * wo)
         d_w = None
         d_x = np.zeros(shape) if track_x else None
+        # the ReLU's "> 0" as bools, 1/8 of its output, which each block
+        # rebuilds only for the rows it reads; rows no block reads keep a
+        # zero gradient whatever their mask
+        mask = np.zeros(shape, dtype=bool) if track_x and relu is not None else None
         for imgs, rows in blocks:
             n = rows.stop - rows.start
             og_block = og3[imgs, :, rows.start * wo:rows.stop * wo]
-            cols = _im2col(window(data, imgs, rows), kh, kw, s, (n, wo))
+            cols = _im2col(window(data, imgs, rows, relu, mask=mask), kh, kw, s, (n, wo))
             # batched matmul, not einsum, which does not reach BLAS here
             part = np.matmul(og_block, cols.transpose(0, 2, 1))
             # one image needs no sum, which would copy it; several are summed
@@ -340,6 +353,11 @@ def _conv2d_plan(shape: tuple, p: Conv2dParams) -> tuple:
                 d_cols = np.matmul(w2.T, og_block, out=cols if cols.flags.writeable else None)
                 _scatter_taps(d_cols.reshape(-1, c_in, kh, kw, n, wo), s, d_x[imgs],
                               pad - s * rows.start, pad)
+                del d_cols
+            del cols, part      # before the next block builds its own
+        if mask is not None:
+            # relu's backward as T.relu computes it, in place
+            np.multiply(d_x, mask, out=d_x)
         d_b = og3.sum(axis=(0, 2)) if p.bias is not None else None
         return d_x, d_w.reshape(p.weights.shape), d_b
 
@@ -444,12 +462,23 @@ def _unpool_conv2d_plan(shape: tuple, p: Conv2dParams, k: int) -> tuple:
             _add_bias(out, p.bias.data)
         return out
 
-    def backward(og, data, track_x):
+    def backward(og, data, track_x, relu=None):
+        if relu is not None:
+            # the weight gradient reads the whole input, so it is rebuilt whole
+            data = _bn_relu(data, *relu)
         window = _window(og, slice(None), -top, k * (h - 1) + kh - top,
                          -left, k * (w - 1) + kw - left)
         cols = _im2col(window, kh, kw, k, (h, w))
-        d_x = np.matmul(_flipped(wd).T, cols).reshape(shape) if track_x else None
-        d_a = np.matmul(cols, data.reshape(b, c_in, h * w).transpose(0, 2, 1)).sum(axis=0)
+        d_x = None
+        if track_x:
+            d_x = np.matmul(_flipped(wd).T, cols).reshape(shape)
+            if relu is not None:
+                d_x *= data > 0.0       # relu's backward as T.relu computes it
+        # one image at a time, so no [B, C_out*kh*kw, C_in] product is built
+        x3 = data.reshape(b, c_in, h * w)
+        d_a = np.matmul(cols[0], x3[0].T)
+        for i in range(1, b):
+            d_a += np.matmul(cols[i], x3[i].T)
         d_w = d_a.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
         d_b = og.sum(axis=(0, 2, 3)) if p.bias is not None else None
         return d_x, d_w, d_b
@@ -472,26 +501,32 @@ def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
 
 
 def _bn_train_grads(og, xhat, gamma, istd):
-    """Train-mode batchnorm's gradients in x, gamma and beta, from x-hat."""
-    axes = (0, 2, 3)
-    n = og.size // og.shape[1]
-    d_gamma = (og * xhat).sum(axis=axes)
-    d_beta = og.sum(axis=axes)
+    """Train-mode batchnorm's gradients in x, gamma and beta, from x-hat.
+    The gradient in x is written over `og`."""
+    b, c, h, w = og.shape
+    n = og.size // c
+    d_gamma = np.einsum("ijkl,ijkl->j", og, xhat)
+    d_beta = og.sum(axis=(0, 2, 3))
     # gamma is per channel, so it comes out of both mean terms:
-    # d_x = (og - d_beta/n - xhat*d_gamma/n) * gamma*istd
-    d_x = xhat * (-d_gamma / n)[:, None, None]
-    d_x += og
-    d_x -= (d_beta / n)[:, None, None]
-    d_x *= gamma * istd
-    return d_x, d_gamma, d_beta
+    # d_x = (og - d_beta/n - xhat*d_gamma/n) * gamma*istd, whose x-hat term
+    # is formed one block of rows at a time
+    for imgs, rows in _blocks(b, h, c * w * 8):
+        d_x = og[imgs, :, rows]
+        d_x += xhat[imgs, :, rows] * (-d_gamma / n)[:, None, None]
+        d_x -= (d_beta / n)[:, None, None]
+        d_x *= gamma * istd
+    return og, d_gamma, d_beta
 
 
 def _bn_infer_grads(og, x, rmean, istd, scale):
-    """Infer-mode batchnorm's gradients in x, gamma and beta, from x."""
+    """Infer-mode batchnorm's gradients in x, gamma and beta, from x. The
+    gradient in x is written over `og`."""
     xhat = x - rmean
     xhat *= istd
     xhat *= og
-    return og * scale, xhat.sum(axis=(0, 2, 3)), og.sum(axis=(0, 2, 3))
+    d_gamma, d_beta = xhat.sum(axis=(0, 2, 3)), og.sum(axis=(0, 2, 3))
+    og *= scale
+    return og, d_gamma, d_beta
 
 
 def _batchnorm_forward(x: Tensor, p: BatchNormParams, mode: str) -> tuple:
@@ -556,13 +591,10 @@ def _record_bn_relu_conv(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dP
     track_z = needs_grad(x) or needs_grad(norm.gamma) or needs_grad(norm.beta)
 
     def bwd(og):
-        z = _bn_relu(s, scale, shift)
-        d_z, d_w, d_b = backward(og, z, track_z)
-        if d_z is None:
+        d_y, d_w, d_b = backward(og, s, track_z, (scale, shift))
+        if d_y is None:
             return None, None, None, d_w, d_b
-        # relu's backward as T.relu computes it, written over z
-        d_z = np.multiply(d_z, z > 0.0, out=z)
-        return (*bn_grads(d_z, s), d_w, d_b)
+        return (*bn_grads(d_y, s), d_w, d_b)
 
     return record(out, [x, norm.gamma, norm.beta, p.weights, p.bias], bwd)
 
@@ -571,12 +603,14 @@ def bn_relu_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dParams)
     """``conv2d(relu(batchnorm(x, norm, mode)), p)`` as one op, byte for
     byte: the pre-activation unit of a conv stack.
 
-    The ReLU output z never lives whole in forward: each conv block applies
+    The ReLU output z never lives whole: each conv block applies
     batchnorm's per-channel scale and shift and the ReLU to the rows it
-    reads as it pads them. The tape keeps one activation, what batchnorm's
-    backward reads: x-hat in train mode, the input in infer mode. Backward
-    rebuilds z from it with the same float ops, runs the conv's backward
-    on it, then the ReLU's and batchnorm's. Train mode updates the running
+    reads as it pads them, in forward and, with the same float ops, in
+    backward. The tape keeps one activation, what batchnorm's backward
+    reads: x-hat in train mode, the input in infer mode. Backward keeps
+    the ReLU's mask as bools while it runs the conv's backward block by
+    block, applies it to the input gradient, then runs batchnorm's
+    backward over that gradient in place. Train mode updates the running
     statistics once, in forward.
     """
     data = _check_4d(x, "bn_relu_conv2d")
@@ -587,8 +621,8 @@ def bn_relu_unpool_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2d
                           k: int) -> Tensor:
     """``unpool_conv2d(relu(batchnorm(x, norm, mode)), p, k)`` as one op,
     byte for byte; the tape keeps what :func:`bn_relu_conv2d`'s keeps.
-    Forward builds the ReLU output whole for its per-row matmuls, then
-    drops it."""
+    Forward builds the ReLU output whole for its per-row matmuls, and
+    backward for its weight gradient, then drops it."""
     data = _check_4d(x, "bn_relu_unpool_conv2d")
     return _record_bn_relu_conv(x, norm, mode, p, _unpool_conv2d_plan(data.shape, p, k))
 

@@ -148,6 +148,9 @@ def record(out_data: np.ndarray, inputs: Sequence[Tensor],
     must not return an array that it or the network keeps, because
     backward adopts the arrays it returns and adds later gradients into
     them in place; returning the same buffer for several inputs is fine.
+    It may overwrite the output gradient it receives, for example to
+    return it as an input gradient: no other gradient shares that buffer,
+    and backward drops it after the call.
     """
     out = Tensor(out_data)
     g = _active_graph()
@@ -184,7 +187,10 @@ def backward(loss: Tensor) -> None:
     :class:`~racdnn.errors.GraphError` before any grad changes. A buffer a
     closure returns for several inputs is copied for each input after the
     first, and a leaf gets a copy of a read-only array or of a view into
-    a larger buffer, so no two grads share memory.
+    a larger buffer, so no two grads share memory. For the same reason
+    each closure receives an output gradient that no other node, leaf or
+    closure holds, which it may overwrite; backward drops it after the
+    call.
     """
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise ArgumentError("backward needs a scalar (single-element) tensor")

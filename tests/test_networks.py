@@ -188,6 +188,36 @@ class TestInitialNet:
         # batchnorm's x-hat and a ReLU output per layer would be twice this
         assert kept <= sum(activations) + code + len(g) * SLACK
 
+    def test_paper_train_step_peak_is_bounded_by_the_layer_shapes(self):
+        p = N.preset("paper")
+        init = N.InitialNet(p, np.random.default_rng(0))
+        imgs = rand_images(p)
+        target = np.zeros((2, 1, p.map_size, p.map_size))
+
+        def step():
+            with T.Graph() as g:
+                loss = N.refinement_loss(init.forward_raw(imgs, "train"), target)
+            T.backward(loss)
+            return len(g)
+
+        nodes, _, peak = traced_bytes(step)
+        # the step peaks in the backward of the second encoder layer, whose
+        # input is the first layer's output: beside every parameter's
+        # gradient, its node's x-hat of that output and the output gradient
+        # it receives, and within it the input gradient, the ReLU's mask as
+        # bools and a block's window and columns; rebuilding the ReLU output
+        # whole there would take one more first-layer output
+        side, outputs = p.input_size, []
+        for layer in init.encoder.layers[:2]:
+            c_out, _, k, _ = layer.conv.weights.shape
+            side = nn.conv_output_size(side, k, layer.conv.stride, layer.conv.padding)
+            outputs.append(2 * c_out * side * side * 8)
+        activation, received = outputs
+        grads = 8 * sum(t.size for t in init.parameters().values())
+        bound = (grads + 2 * activation + received + activation // 8 + 2 * nn._BLOCK_BYTES
+                 + nodes * SLACK)
+        assert peak <= bound < grads + 3 * activation + received
+
     def test_dropped_forward_frees_its_graph(self):
         # the parameters outlive the pass; they must not keep its tape alive
         p, init, _ = make_nets("tiny")

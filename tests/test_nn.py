@@ -600,6 +600,21 @@ class TestBatchNorm:
         check_grad(lambda gd: loss_from(x_data, gd, beta), gamma, p.gamma.grad, n_coords=2, tol=1e-4)
         check_grad(lambda bd: loss_from(x_data, gamma, bd), beta, p.beta.grad, n_coords=2, tol=1e-4)
 
+    def test_train_backward_writes_the_input_gradient_over_the_output_gradient(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        x = T.Tensor(rng.normal(size=(2, 8, 64, 64)), requires_grad=True)
+        budget = 16 * 8 * 64 * 8            # 16 rows of one image
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
+        with T.Graph():
+            loss = sum_all(nn.batchnorm(x, bn_params(8), "train"))
+        _, _, peak = traced_bytes(lambda: T.backward(loss))
+        # the output gradient, which becomes x's, one chunk of the x-hat
+        # term, and numpy's iterator buffers, three at most for a ufunc on
+        # a strided chunk with a per-channel operand; a product with x-hat
+        # or a fresh d_x would take x's size
+        bound = x.data.nbytes + budget + 24 * np.getbufsize() + SLACK
+        assert peak <= bound < 2 * x.data.nbytes
+
 
 def reference_batchnorm(x, gamma, beta, rmean, rvar, mode, og):
     """Batchnorm of [B,C,H,W] by the textbook formulas: the output
@@ -672,6 +687,31 @@ class TestBatchNormReference:
                    coords=list(np.ndindex(4)), tol=1e-4)
         check_grad(lambda bd: loss_from(x_data, gamma, bd), beta, p.beta.grad,
                    coords=list(np.ndindex(4)), tol=1e-4)
+
+    def test_two_batchnorms_of_one_input_meeting_in_an_add(self):
+        # add hands one output gradient to both batchnorms, which write
+        # their input gradients over what they receive: backward must give
+        # each its own buffer
+        x_data, stats, og = self.case(33)
+        _, other, _ = self.case(34)
+        x = T.Tensor(x_data, requires_grad=True)
+        p1, p2 = bn_params(4, **stats), bn_params(4, **other)
+        with T.Graph():
+            out = T.add(nn.batchnorm(x, p1, "train"), nn.batchnorm(x, p2, "train"))
+            T.backward(sum_all(mul(out, og)))
+        ref1 = reference_batchnorm(x_data, *stats.values(), "train", og)
+        ref2 = reference_batchnorm(x_data, *other.values(), "train", og)
+        got = (x.grad, p1.gamma.grad, p1.beta.grad, p2.gamma.grad, p2.beta.grad)
+        want = (ref1[3] + ref2[3], *ref1[4:], *ref2[4:])
+        for name, a, b in zip("d_x d_gamma1 d_beta1 d_gamma2 d_beta2".split(), got, want):
+            assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max(), name
+
+        def loss_from(xd):
+            out = T.add(nn.batchnorm(T.Tensor(xd), bn_params(4, **stats), "train"),
+                        nn.batchnorm(T.Tensor(xd), bn_params(4, **other), "train"))
+            return float((out.data * og).sum())
+
+        check_grad(loss_from, x_data, x.grad, n_coords=15, tol=1e-4)
 
 
 class TestBnReluConv:
@@ -808,6 +848,25 @@ class TestBnReluConv:
         drop_workspace()
         out, _, peak = traced_bytes(lambda: nn.bn_relu_conv2d(x, norm, "infer", p))
         assert peak <= out.data.nbytes + 2 * budget + SLACK < out.data.nbytes + x.data.nbytes
+
+    def test_train_backward_never_builds_the_whole_relu_output(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        x = T.Tensor(rng.normal(size=(2, 16, 64, 64)), requires_grad=True)
+        norm = bn_params(16)
+        p = conv_params(rng.normal(size=(2, 16, 3, 3)), None, padding=1, grad=False)
+        budget = 2 * 16 * 9 * 64 * 8        # two output rows of columns
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
+        with T.Graph():
+            out = nn.bn_relu_conv2d(x, norm, "train", p)
+            loss = sum_all(out)
+        _, _, peak = traced_bytes(lambda: T.backward(loss))
+        # the output gradient and the returned gradients, the ReLU's mask as
+        # bools, a block's window and columns, and numpy's iterator buffers
+        # for a strided add's operands; the ReLU output rebuilt whole would
+        # take x's size beside the input gradient
+        bound = (out.data.nbytes + x.data.nbytes + x.size + 2 * budget + 16 * np.getbufsize()
+                 + SLACK)
+        assert peak <= bound < out.data.nbytes + 2 * x.data.nbytes
 
 
 class TestWorkspace:
