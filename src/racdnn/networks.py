@@ -16,7 +16,14 @@ convolution of a stack is a plain op, and the encoder ends in
 ``relu(batchnorm)``. The refinement network
 re-uses the same encoder/decoder shapes inside a two-layer recurrent loop
 that attends to one window per iteration and accumulates decoded patches
-into the running map.
+into the running map. Under a graph, each glimpse's head, the sampler and
+the encoder's first two convolutions, is one ``tensor.checkpoint`` node
+that keeps only the image and the window: backward samples the glimpse
+and runs those two layers again, so the tape holds neither the glimpse,
+which the first convolution would keep, nor the first layer's x-hat,
+which the second would keep, the two largest activations of a glimpse.
+The deeper layers keep little and would cost more to rerun, so they
+record as usual.
 
 Both networks take batched input only: images ``[B,3,S,S]`` and raw maps
 ``[B,1,M,M]``. A rollout returns a :class:`RefinementTrace` holding each
@@ -38,6 +45,9 @@ from .errors import ArgumentError, ShapeError
 from .tensor import Tensor
 
 DEFAULT_ITERATIONS = 9
+# encoder layers in each glimpse's checkpointed head: the sampler and these
+# convolutions run again in backward (RefineNet.run_refinement)
+HEAD_LAYERS = 2
 IMAGE_CHANNELS = 3
 
 
@@ -163,12 +173,24 @@ class Stack:
     def __init__(self, layers: list):
         self.layers = layers
 
-    def __call__(self, x: Tensor, mode: str) -> Tensor:
-        norm = None
-        for layer in self.layers:
+    def __call__(self, x: Tensor, mode: str, start: int = 0) -> Tensor:
+        """The stack from layer `start` on, ending in the last layer's
+        batchnorm and ReLU; `x` is layer ``start - 1``'s convolution output
+        when `start` > 0."""
+        x = self.convs(x, mode, start, len(self.layers))
+        norm = self.layers[-1].norm
+        return x if norm is None else T.relu(nn.batchnorm(x, norm, mode))
+
+    def convs(self, x: Tensor, mode: str, start: int, stop: int) -> Tensor:
+        """Layer ``stop - 1``'s convolution output: the convolutions of
+        layers `start` to ``stop - 1``, each reading the layer before
+        through that layer's batchnorm and ReLU, from `x`, which is layer
+        ``start - 1``'s convolution output when `start` > 0."""
+        norm = self.layers[start - 1].norm if start else None
+        for layer in self.layers[start:stop]:
             x = layer(x, norm, mode)
             norm = layer.norm
-        return x if norm is None else T.relu(nn.batchnorm(x, norm, mode))
+        return x
 
     def tensors(self):
         for i, layer in enumerate(self.layers):
@@ -334,7 +356,13 @@ class RefineNet:
         iteration attends, encodes, updates the first recurrent state, and
         accumulates a refinement delta, then (but for the last) updates the
         second state and picks the next window. Returns the final sigmoid
-        map and the per-iteration trace."""
+        map and the per-iteration trace.
+
+        The head of each glimpse, the window sampled from the image through
+        the first :data:`HEAD_LAYERS` encoder convolutions, runs under
+        ``T.checkpoint``: with no graph active that is the plain call, and
+        under a graph it records one node that backward reruns, giving the
+        plain tape's gradients and running statistics byte for byte."""
         nn._require_int(n, 1, "refinement iterations n")
         x = _check_images(images, self.preset)
         b = x.shape[0]
@@ -349,8 +377,14 @@ class RefineNet:
         trace.windows.append(np.tile([1.0, 0.0, 0.0], (b, 1)))
         trace.maps.append(r.data.copy())     # the caller's array, which it may change
 
+        head = self.encoder.layers[:HEAD_LAYERS]
+        head_params = [t for layer in head for _, t in layer.tensors() if t.requires_grad]
+
+        def glimpse(images, tau):
+            return self.encoder.convs(self.attend(images, tau), mode, 0, len(head))
+
         for i in range(1, n):
-            z = self.encoder(self.attend(x, tau), mode)
+            z = self.encoder(T.checkpoint(glimpse, [x, tau], head_params), mode, len(head))
             h1 = self.conv_recurrent_step(z, h1)
             r = self.refine_step(r, h1, tau, mode)
             trace.windows.append(tau.data)

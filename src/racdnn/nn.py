@@ -66,7 +66,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, BatchError, ShapeError
-from .tensor import Tensor, needs_grad, record, _active_graph, _sigmoid
+from .tensor import Tensor, needs_grad, record, _active_graph, _recomputing, _sigmoid
 
 # batchnorm: weight of the old running statistic, and the variance floor
 BN_MOMENTUM = 0.9
@@ -163,10 +163,14 @@ def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple, alloc=None) 
     is needed (1x1 windows at stride 1), otherwise copied into a fresh
     array, or into ``alloc("cols", shape)`` when forward passes
     :func:`_scratch` as `alloc`."""
-    b, c = x.shape[:2]
+    b, c, rows, width = x.shape
     h, w = out_hw
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, :s * h:s, :s * w:s].transpose(0, 1, 4, 5, 2, 3)   # [B,C,kh,kw,h,w]
+    if s * (h - 1) + kh > rows or s * (w - 1) + kw > width:
+        raise ShapeError(f"{kh}x{kw} windows at stride {s} on a {h}x{w} lattice leave {x.shape}")
+    sb, sc, sy, sx = x.strides
+    # [B,C,kh,kw,h,w], a read-only view
+    windows = np.lib.stride_tricks.as_strided(x, (b, c, kh, kw, h, w),
+                                              (sb, sc, sy, sx, s * sy, s * sx), writeable=False)
     if kh == kw == s == 1:
         return windows.reshape(b, c, h * w)
     shape = (b, c * kh * kw, h * w)
@@ -534,7 +538,8 @@ def _batchnorm_forward(x: Tensor, p: BatchNormParams, mode: str) -> tuple:
     grads)``: its output is ``s*scale + shift`` per channel, and
     ``grads(og, s)`` returns the gradients in x, gamma and beta. In train
     mode `s` is x-hat, the input normalized by the batch statistics, and
-    the running averages take those statistics; in infer mode `s` is the
+    the running averages take those statistics, except in a checkpoint's
+    rerun (``tensor._recomputing``); in infer mode `s` is the
     input array and the running statistics fold into `scale` and `shift`.
     `grads` keeps only [C] vectors, so what keeps `s` decides what a tape
     keeps."""
@@ -556,8 +561,9 @@ def _batchnorm_forward(x: Tensor, p: BatchNormParams, mode: str) -> tuple:
         var = (xhat * xhat).sum(axis=axes) / (data.size // c)  # data.var, from the centred input
         istd = 1.0 / np.sqrt(var[:, None, None] + BN_EPSILON)
         xhat *= istd
-        p.running_mean.data = BN_MOMENTUM * p.running_mean.data + (1 - BN_MOMENTUM) * mean
-        p.running_var.data = BN_MOMENTUM * p.running_var.data + (1 - BN_MOMENTUM) * var
+        if not _recomputing():    # a checkpoint's rerun: the first run updated them
+            p.running_mean.data = BN_MOMENTUM * p.running_mean.data + (1 - BN_MOMENTUM) * mean
+            p.running_var.data = BN_MOMENTUM * p.running_var.data + (1 - BN_MOMENTUM) * var
         return xhat, gamma, beta, partial(_bn_train_grads, gamma=gamma, istd=istd)
 
     rmean = p.running_mean.data[:, None, None]

@@ -35,8 +35,11 @@ not their flipped copy. Backward also rebuilds what is cheap to compute
 again: ``nn.bn_relu_conv2d`` and ``nn.bn_relu_unpool_conv2d`` keep only
 batchnorm's x-hat (in infer mode, their input), and backward recomputes
 the ReLU output from it, so a conv stack's tape holds one activation per
-layer. An op with one input meets the second half of the
-rule for free, because with no tracked input it records nothing.
+layer. A segment of ops under :func:`checkpoint` is one node that keeps
+its inputs, by reference, and nothing else: backward runs the segment
+again on a sub-tape and walks that. An op with one input meets the
+second half of the rule for free, because with no tracked input it
+records nothing.
 ``nn.conv2d`` checks its input and ``attention.bilinear_sample`` its source
 and its grid, because an image or a fixed grid is often untracked there;
 the other ops with several inputs pass the output gradient through, or
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import math
 import threading
+from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -164,6 +168,70 @@ def record(out_data: np.ndarray, inputs: Sequence[Tensor],
     return out
 
 
+def _recomputing() -> bool:
+    """True while a :func:`checkpoint` reruns its function on this thread,
+    in backward; an op with a side effect, such as train-mode batchnorm's
+    running averages, skips it then, since the first run made it."""
+    return getattr(_tls, "recomputing", False)
+
+
+@contextmanager
+def _running(graph: Optional[Graph], recomputing: bool):
+    """Make `graph` (None for no tape) this thread's active graph for the
+    block, restoring the graph and the rerun state before it even if the
+    block raises."""
+    saved = _active_graph(), _recomputing()
+    _tls.graph, _tls.recomputing = graph, recomputing
+    try:
+        yield
+    finally:
+        _tls.graph, _tls.recomputing = saved
+
+
+def checkpoint(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
+               params: Sequence[Tensor] = ()) -> Tensor:
+    """``fn(*inputs)`` as one tape node that keeps `inputs` by reference and
+    nothing else: gradient checkpointing (Chen et al. 2016, arXiv
+    1604.06174).
+
+    With no graph active this is ``fn(*inputs)``. While a graph is active,
+    `fn` runs with no tape, and its output is recorded as one node whose
+    inputs are `inputs` and `params`, the leaves `fn` may read besides
+    them, so it records when any of those is tracked. Its backward reruns
+    `fn` on a sub-tape of its own, on the same arrays, and walks that
+    sub-tape from the output gradient it received: a tracked op output
+    among `inputs` is a fresh leaf there, whose gradient the node returns,
+    and a leaf takes its gradients in that walk, at the place of the node
+    in the pass's walk. So the gradients are the plain tape's, byte for
+    byte, when the rerun computes what the first run did. For that, `fn`
+    must return one Tensor and read nothing that changes between its run
+    and backward, and an op with a side effect must skip it in the rerun
+    (:func:`_recomputing`). A second backward through the node raises
+    :class:`~racdnn.errors.GraphError`, as through any consumed node.
+    """
+    g = _active_graph()
+    if g is None:
+        return fn(*inputs)
+    with _running(None, _recomputing()):
+        out = fn(*inputs)
+    ins = [g._input(t) for t in inputs]
+    # leaves as themselves, everything else as its array, so that the node
+    # keeps no tensor that points back at this tape
+    kept = [t if isinstance(i, Tensor) else t.data for t, i in zip(inputs, ins)]
+
+    def bwd(og):
+        args = [k if isinstance(k, Tensor) else Tensor(k, requires_grad=isinstance(i, int))
+                for k, i in zip(kept, ins)]
+        with _running(Graph(), True):
+            again = fn(*args)
+        if again._node is not None:
+            _walk(again._node, og)
+        grads = [a.grad if isinstance(i, int) else None for a, i in zip(args, ins)]
+        return grads + [None] * len(params)
+
+    return record(out.data, [*inputs, *params], bwd)
+
+
 def _owned(a: np.ndarray) -> bool:
     """True when `a` can become a leaf's grad as it is: writable, and not a
     view that would keep a larger buffer alive."""
@@ -196,18 +264,26 @@ def backward(loss: Tensor) -> None:
         raise ArgumentError("backward needs a scalar (single-element) tensor")
     if loss._node is None:
         raise GraphError("loss is not attached to any computation graph")
-    graph, loss_id = loss._node
+    _walk(loss._node, np.ones_like(loss.data))
+
+
+def _walk(node: tuple, og: np.ndarray) -> None:
+    """The loop of :func:`backward` from the tape node `node`, ``(graph,
+    id)``, seeded with its output gradient `og`, which the walk may
+    overwrite: ones for a loss, the gradient a :func:`checkpoint` node
+    received for its rerun."""
+    graph, out_id = node
     nodes = graph._nodes
     # check every node the walk reaches before it changes any grad
-    reached = {loss_id}
-    for nid in range(loss_id, -1, -1):
+    reached = {out_id}
+    for nid in range(out_id, -1, -1):
         if nid in reached:
             if nodes[nid] is None:
                 raise GraphError(f"tape node {nid} was consumed by an earlier backward")
             reached.update(i for i in nodes[nid][0] if isinstance(i, int))
-    grads: list[Optional[np.ndarray]] = [None] * (loss_id + 1)
-    grads[loss_id] = np.ones_like(loss.data)
-    for nid in range(loss_id, -1, -1):
+    grads: list[Optional[np.ndarray]] = [None] * (out_id + 1)
+    grads[out_id] = og
+    for nid in range(out_id, -1, -1):
         if grads[nid] is None:
             continue
         inputs, backward_fn = nodes[nid]

@@ -525,6 +525,108 @@ class TestRunRefinement:
             assert mine[key].data is not theirs[key].data
 
 
+def conv_outputs(stack, side, b):
+    """Float64 bytes of each conv layer's output in `stack`, for a batch of
+    `b` inputs of side `side`."""
+    outputs = []
+    for layer in stack.layers:
+        c_out, _, k, _ = layer.conv.weights.shape
+        if isinstance(layer, N.UnpoolConvLayer):
+            side *= 2
+        side = nn.conv_output_size(side, k, layer.conv.stride, layer.conv.padding)
+        outputs.append(b * c_out * side * side * 8)
+    return outputs
+
+
+class TestCheckpointedRollout:
+    """Under a graph, each glimpse's head (the sampler and the encoder's
+    first two convolutions) is one checkpoint node that reruns in
+    backward."""
+
+    @staticmethod
+    def train_step(rollout, seed=50, n=9):
+        """The bytes of one toy train step's final map, loss, windows, every
+        grad and every tensor after it, running statistics included, and
+        the running statistics as the forward left them."""
+        p, init, refine = make_nets("toy", seed=seed)
+        imgs = rand_images(p, b=4, seed=seed + 1)
+        r0 = T.Tensor(init.forward_raw(imgs).data)
+        target = (np.random.default_rng(seed + 2).uniform(size=r0.shape) > 0.5).astype(float)
+        with T.Graph():
+            if rollout == "library":
+                _, trace = refine.run_refinement(imgs, r0, n=n, mode="train")
+                r, windows = trace.raw_final, trace.windows[1:]
+            else:
+                r, windows = TestRunRefinement.unskipped_rollout(refine, imgs, r0, n, "train")
+            loss = N.refinement_loss(r, target)
+        after_forward = {k: t.data.tobytes() for k, t in refine.tensors() if not t.requires_grad}
+        T.backward(loss)
+        grads = {k: t.grad.tobytes() for k, t in refine.parameters().items()}
+        tensors = {k: t.data.tobytes() for k, t in refine.tensors()}
+        return (r.data.tobytes(), loss.data.tobytes(), [w.tobytes() for w in windows], grads,
+                tensors), after_forward
+
+    def test_toy_train_step_matches_the_plain_tape_byte_for_byte(self):
+        plain, _ = self.train_step("unskipped")
+        checkpointed, after_forward = self.train_step("library")
+        assert checkpointed == plain
+        # the rerun in backward leaves the running statistics as they were
+        running = {k: v for k, v in checkpointed[-1].items() if k.endswith(("rmean", "rvar"))}
+        assert running == after_forward and len(running) > 0
+
+    def test_untracked_window_with_tracked_encoder_params(self):
+        runs = []
+        for checkpointed in (False, True):
+            p, _, refine = make_nets("toy", seed=52)
+            imgs = rand_images(p, b=2, seed=53)
+            tau = T.Tensor([[0.5, 0.2, -0.1], [0.7, -0.3, 0.0]])
+            head = refine.encoder.layers[:N.HEAD_LAYERS]
+            params = [t for layer in head for _, t in layer.tensors() if t.requires_grad]
+
+            def glimpse(images, window):
+                return refine.encoder.convs(refine.attend(images, window), "train", 0, len(head))
+
+            with T.Graph() as g:
+                if checkpointed:
+                    out = T.checkpoint(glimpse, [imgs, tau], params)
+                else:
+                    out = glimpse(imgs, tau)
+                assert out._node is not None
+                nodes = len(g)
+                loss = sum_all(mul(out, out))
+            T.backward(loss)
+            runs.append([t.grad.tobytes() if t.grad is not None else None for t in params]
+                        + [t.data.tobytes() for _, t in refine.encoder.tensors()])
+            assert nodes == (1 if checkpointed else 2)    # the sampler does not record
+        assert runs[0] == runs[1]
+
+    def test_tape_leaves_out_the_glimpses_and_the_first_x_hats(self):
+        p, init, refine = make_nets("toy", seed=54)
+        b, n = 8, N.DEFAULT_ITERATIONS
+        imgs = rand_images(p, b=b, seed=55)
+        r0 = T.Tensor(init.forward_raw(imgs).data)
+        with T.Graph() as g:
+            _, kept, _ = traced_bytes(lambda: refine.run_refinement(imgs, r0, n=n, mode="train"))
+        enc = conv_outputs(refine.encoder, p.input_size, b)
+        dec = conv_outputs(refine.decoder, p.code_size, b)
+        code, patch = enc[-1], dec[-1]
+        # the context encoder keeps one activation per conv, its trailing
+        # ReLU output and the first recurrent state. Each glimpse keeps the
+        # x-hat of every encoder conv output but the first, the trailing ReLU
+        # output, the recurrent state, one activation per decoder conv, the
+        # patch (which the inverse sampler keeps), the new map and its window
+        # mask; not the glimpse, nor the first conv output's x-hat
+        context = sum(enc) + 2 * code
+        glimpse = sum(enc[1:]) + 2 * code + sum(dec[:-1]) + 2 * patch + patch // 8
+        bound = context + (n - 1) * glimpse + len(g) * SLACK
+        assert kept <= bound
+        # the plain tape, which keeps each glimpse and its first x-hat too
+        with T.Graph():
+            _, plain, _ = traced_bytes(
+                lambda: TestRunRefinement.unskipped_rollout(refine, imgs, r0, n, "train"))
+        assert bound < plain
+
+
 class TestFusedDecoder:
     @staticmethod
     def composed_decoder(decoder, x, mode):

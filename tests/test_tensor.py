@@ -330,3 +330,95 @@ class TestStructural:
         # each of these has 8 elements, or truncates to a shape that does
         with pytest.raises(ShapeError):
             T.reshape(T.zeros([2, 4]), shape)
+
+
+class TestCheckpoint:
+    """``T.checkpoint`` records a function as one node and reruns it in
+    backward; the networks checkpoint each glimpse's head with it."""
+
+    @staticmethod
+    def segment(a, w):
+        return T.sigmoid(mul(T.relu(mul(a, w)), w))
+
+    def run(self, checkpointed):
+        """Grads of a leaf that enters the segment through an op, and of a
+        leaf the segment reads besides its input."""
+        rng = np.random.default_rng(21)
+        x = T.Tensor(rng.normal(size=(64,)), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(64,)), requires_grad=True)
+        with T.Graph() as g:
+            a = mul(x, 3.0)
+            if checkpointed:
+                out = T.checkpoint(lambda t: self.segment(t, w), [a], [w])
+            else:
+                out = self.segment(a, w)
+            T.backward(sum_all(mul(out, w)))
+        return out.data.tobytes(), x.grad.tobytes(), w.grad.tobytes(), len(g)
+
+    def test_matches_the_plain_tape_as_one_node(self):
+        *plain, plain_nodes = self.run(False)
+        *checkpointed, nodes = self.run(True)
+        assert checkpointed == plain
+        assert nodes == plain_nodes - 3
+
+    def test_with_no_graph_it_is_the_call(self):
+        out = T.Tensor([1.0])
+        assert T.checkpoint(lambda t: out, [T.Tensor([2.0])]) is out
+
+    def test_keeps_its_inputs_by_reference_and_nothing_else(self):
+        a = T.Tensor(np.random.default_rng(22).normal(size=(256, 256)), requires_grad=True)
+        with T.Graph():
+            out, kept, _ = traced_bytes(lambda: T.checkpoint(
+                lambda t: T.sigmoid(T.relu(mul(t, 2.0))), [a]))
+        # the plain tape would keep the relu's and the sigmoid's outputs
+        assert kept <= out.data.nbytes + SLACK
+
+    def test_records_for_a_tracked_param_of_untracked_inputs(self):
+        a = T.Tensor(np.arange(4.0))
+        w = T.Tensor(np.full(4, 2.0), requires_grad=True)
+        with T.Graph() as g:
+            loss = sum_all(T.checkpoint(lambda t: mul(t, w), [a], [w]))
+        assert len(g) == 2
+        T.backward(loss)
+        assert w.grad.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_first_run_that_raises_restores_the_graph(self):
+        def boom(t):
+            raise RuntimeError("first run")
+
+        with T.Graph() as g:
+            with pytest.raises(RuntimeError):
+                T.checkpoint(boom, [T.Tensor([1.0], requires_grad=True)])
+            assert T._active_graph() is g and not T._recomputing()
+        assert T._active_graph() is None
+
+    def test_rerun_that_raises_restores_the_graph(self):
+        runs = []
+
+        def second_run_raises(t):
+            runs.append(T._recomputing())
+            if runs[-1]:
+                raise RuntimeError("rerun")
+            return mul(t, 2.0)
+
+        x = T.Tensor([1.0], requires_grad=True)
+        with T.Graph() as g:
+            loss = sum_all(T.checkpoint(second_run_raises, [x]))
+            with pytest.raises(RuntimeError):
+                T.backward(loss)
+            assert T._active_graph() is g and not T._recomputing()
+        with T.Graph():
+            loss = sum_all(T.checkpoint(second_run_raises, [x]))
+        with pytest.raises(RuntimeError):
+            T.backward(loss)
+        assert T._active_graph() is None and not T._recomputing()
+        assert runs == [False, True, False, True]
+
+    def test_second_backward_through_a_consumed_checkpoint_raises(self):
+        x = T.Tensor([2.0], requires_grad=True)
+        with T.Graph():
+            y = T.checkpoint(lambda t: mul(t, t), [x])
+            T.backward(sum_all(y))
+            with pytest.raises(GraphError):
+                T.backward(sum_all(mul(y, 3.0)))
+        assert x.grad.tolist() == [4.0]
