@@ -17,13 +17,16 @@ convolution of a stack is a plain op, and the encoder ends in
 re-uses the same encoder/decoder shapes inside a two-layer recurrent loop
 that attends to one window per iteration and accumulates decoded patches
 into the running map. Under a graph, each glimpse's head, the sampler and
-the encoder's first two convolutions, is one ``tensor.checkpoint`` node
-that keeps only the image and the window: backward samples the glimpse
-and runs those two layers again, so the tape holds neither the glimpse,
-which the first convolution would keep, nor the first layer's x-hat,
-which the second would keep, the two largest activations of a glimpse.
-The deeper layers keep little and would cost more to rerun, so they
-record as usual.
+the encoder's first three convolutions (:data:`HEAD_LAYERS`, or the whole
+encoder if it is shallower), is one ``tensor.checkpoint`` node that keeps
+only the image and the window. So the tape holds none of the three
+largest activations of a glimpse: the glimpse, which the first
+convolution would keep, and the x-hats of the first two layers' outputs,
+which the second and third would keep. Backward samples the glimpse, runs
+the first two layers again and records the third's node without its
+convolution, whose output the rerun never reads, so a rerun costs the
+sampler, two convolutions and one batchnorm reduction. The deeper layers
+keep little and would cost more to rerun, so they record as usual.
 
 Both networks take batched input only: images ``[B,3,S,S]`` and raw maps
 ``[B,1,M,M]``. A rollout returns a :class:`RefinementTrace` holding each
@@ -45,9 +48,9 @@ from .errors import ArgumentError, ShapeError
 from .tensor import Tensor
 
 DEFAULT_ITERATIONS = 9
-# encoder layers in each glimpse's checkpointed head: the sampler and these
-# convolutions run again in backward (RefineNet.run_refinement)
-HEAD_LAYERS = 2
+# encoder layers in each glimpse's checkpointed head (RefineNet.run_refinement),
+# clamped to the encoder's depth
+HEAD_LAYERS = 3
 IMAGE_CHANNELS = 3
 
 
@@ -359,10 +362,12 @@ class RefineNet:
         map and the per-iteration trace.
 
         The head of each glimpse, the window sampled from the image through
-        the first :data:`HEAD_LAYERS` encoder convolutions, runs under
-        ``T.checkpoint``: with no graph active that is the plain call, and
-        under a graph it records one node that backward reruns, giving the
-        plain tape's gradients and running statistics byte for byte."""
+        the first :data:`HEAD_LAYERS` encoder convolutions (all of them in
+        a shallower encoder), runs under ``T.checkpoint``: with no graph
+        active that is the plain call, and under a graph it records one
+        node that backward reruns, giving the plain tape's gradients and
+        running statistics byte for byte. The rerun computes every head
+        convolution but the last, whose node alone the walk reads."""
         nn._require_int(n, 1, "refinement iterations n")
         x = _check_images(images, self.preset)
         b = x.shape[0]

@@ -155,14 +155,17 @@ def _scratch(slot: str, shape: tuple) -> np.ndarray:
     return bufs[slot][:n].reshape(shape)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple, alloc=None) -> np.ndarray:
+def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple, alloc=None,
+            side_by_side: bool = False) -> np.ndarray:
     """Columns [B, C*kh*kw, h*w] of the kh x kw windows of `x` [B,C,H,W]
     whose top-left corners sit at row ``s*y`` and column ``s*x`` for (y, x)
     on the `out_hw` lattice: im2col at stride `s`, the gather
     that :func:`_scatter_taps` undoes. A read-only view of `x` when no copy
     is needed (1x1 windows at stride 1), otherwise copied into a fresh
     array, or into ``alloc("cols", shape)`` when forward passes
-    :func:`_scratch` as `alloc`."""
+    :func:`_scratch` as `alloc`. With `side_by_side`, every image's columns
+    are laid side by side in one fresh [C*kh*kw, B*h*w] array, so that one
+    matmul sums a product over the batch."""
     b, c, rows, width = x.shape
     h, w = out_hw
     if s * (h - 1) + kh > rows or s * (w - 1) + kw > width:
@@ -171,6 +174,10 @@ def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple, alloc=None) 
     # [B,C,kh,kw,h,w], a read-only view
     windows = np.lib.stride_tricks.as_strided(x, (b, c, kh, kw, h, w),
                                               (sb, sc, sy, sx, s * sy, s * sx), writeable=False)
+    if side_by_side:
+        cols = np.empty((c * kh * kw, b * h * w))
+        np.copyto(cols.reshape(c, kh, kw, b, h, w), windows.transpose(1, 2, 3, 0, 4, 5))
+        return cols
     if kh == kw == s == 1:
         return windows.reshape(b, c, h * w)
     shape = (b, c * kh * kw, h * w)
@@ -472,17 +479,17 @@ def _unpool_conv2d_plan(shape: tuple, p: Conv2dParams, k: int) -> tuple:
             data = _bn_relu(data, *relu)
         window = _window(og, slice(None), -top, k * (h - 1) + kh - top,
                          -left, k * (w - 1) + kw - left)
-        cols = _im2col(window, kh, kw, k, (h, w))
+        # [C_out*kh*kw, B*h*w]: the weight gradient is one matmul over the
+        # batch, so no second [C_out*kh*kw, C_in] array is built to sum it
+        cols = _im2col(window, kh, kw, k, (h, w), side_by_side=True)
         d_x = None
         if track_x:
-            d_x = np.matmul(_flipped(wd).T, cols).reshape(shape)
+            per_image = cols.reshape(-1, b, h * w).transpose(1, 0, 2)
+            d_x = np.matmul(_flipped(wd).T, per_image).reshape(shape)
             if relu is not None:
                 d_x *= data > 0.0       # relu's backward as T.relu computes it
-        # one image at a time, so no [B, C_out*kh*kw, C_in] product is built
-        x3 = data.reshape(b, c_in, h * w)
-        d_a = np.matmul(cols[0], x3[0].T)
-        for i in range(1, b):
-            d_a += np.matmul(cols[i], x3[i].T)
+        x2 = data.reshape(b, c_in, h * w).transpose(1, 0, 2).reshape(c_in, b * h * w)
+        d_a = np.matmul(cols, x2.T)
         d_w = d_a.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
         d_b = og.sum(axis=(0, 2, 3)) if p.bias is not None else None
         return d_x, d_w, d_b
@@ -593,7 +600,6 @@ def _record_bn_relu_conv(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dP
     """Run a conv plan on ``relu(batchnorm(x, norm, mode))`` as one op."""
     forward, backward = plan
     s, scale, shift, bn_grads = _batchnorm_forward(x, norm, mode)
-    out = forward(s, (scale, shift))
     track_z = needs_grad(x) or needs_grad(norm.gamma) or needs_grad(norm.beta)
 
     def bwd(og):
@@ -602,7 +608,8 @@ def _record_bn_relu_conv(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dP
             return None, None, None, d_w, d_b
         return (*bn_grads(d_y, s), d_w, d_b)
 
-    return record(out, [x, norm.gamma, norm.beta, p.weights, p.bias], bwd)
+    return record(partial(forward, s, (scale, shift)),
+                  [x, norm.gamma, norm.beta, p.weights, p.bias], bwd)
 
 
 def bn_relu_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dParams) -> Tensor:

@@ -130,6 +130,24 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+class _Unread(Tensor):
+    """An op output of a :func:`checkpoint`'s rerun, computed when first
+    read, so one that nothing reads is never computed."""
+
+    __slots__ = ("_forward",)
+
+    def __init__(self, forward: Callable[[], np.ndarray]):
+        self._forward = forward
+        self.grad, self.requires_grad, self._node = None, False, None
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._forward is not None:
+            Tensor.data.__set__(self, self._forward())
+            self._forward = None
+        return Tensor.data.__get__(self)
+
+
 def needs_grad(t) -> bool:
     """True when a graph is active and `t` is tracked on it: an op output
     recorded there, or a leaf that takes a gradient. The test
@@ -138,10 +156,14 @@ def needs_grad(t) -> bool:
     return g is not None and g._input(t) is not None
 
 
-def record(out_data: np.ndarray, inputs: Sequence[Tensor],
+def record(out_data: np.ndarray | Callable[[], np.ndarray], inputs: Sequence[Tensor],
            backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
     """Wrap `out_data` in a Tensor, appending a tape node when some input
     is tracked on the active graph. Only the output points at the node.
+    An op whose `backward_fn` never reads its output may pass, as
+    `out_data`, the function of no arguments that computes it, which runs
+    at once, or, in a :func:`checkpoint`'s rerun, when the output is first
+    read.
 
     `backward_fn` receives the output gradient and returns one gradient
     per entry of `inputs`. For an input that :func:`needs_grad` reported
@@ -156,7 +178,12 @@ def record(out_data: np.ndarray, inputs: Sequence[Tensor],
     return it as an input gradient: no other gradient shares that buffer,
     and backward drops it after the call.
     """
-    out = Tensor(out_data)
+    if not callable(out_data):
+        out = Tensor(out_data)
+    elif _recomputing():
+        out = _Unread(out_data)
+    else:
+        out = Tensor(out_data())
     g = _active_graph()
     if g is None:
         return out
@@ -208,6 +235,15 @@ def checkpoint(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     and backward, and an op with a side effect must skip it in the rerun
     (:func:`_recomputing`). A second backward through the node raises
     :class:`~racdnn.errors.GraphError`, as through any consumed node.
+
+    The rerun computes no output that nothing reads. An op that records
+    its output as a function (:func:`record`), as the fused batchnorm-ReLU
+    convolutions do, records its node there at once but computes its
+    output only when the next op reads it. The walk reads only the nodes,
+    so when such an op returns `fn`'s output, it records its node, the
+    batchnorm statistics and x-hat included, without running its
+    convolution: the rerun costs what the first run did, less that
+    forward.
     """
     g = _active_graph()
     if g is None:
@@ -223,9 +259,9 @@ def checkpoint(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
         args = [k if isinstance(k, Tensor) else Tensor(k, requires_grad=isinstance(i, int))
                 for k, i in zip(kept, ins)]
         with _running(Graph(), True):
-            again = fn(*args)
-        if again._node is not None:
-            _walk(again._node, og)
+            node = fn(*args)._node
+        if node is not None:
+            _walk(node, og)
         grads = [a.grad if isinstance(i, int) else None for a, i in zip(args, ins)]
         return grads + [None] * len(params)
 

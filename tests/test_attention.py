@@ -346,6 +346,15 @@ class TestBilinearSample:
         assert kept <= out.data.nbytes + taps + SLACK
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 5, 7), (1, 1, 1, 1), (2, 1, 4, 1)])
+def test_ring_is_the_bytes_of_np_pad(shape):
+    # a negative NaN, whose sign bit a copy must keep too
+    src = np.resize([-0.0, np.nan, np.inf, -np.inf, -np.nan, 0.0, 1.5], shape)
+    ringed = at._ring(src)
+    assert ringed.dtype == src.dtype
+    assert ringed.tobytes() == np.pad(src, ((0, 0), (0, 0), (1, 1), (1, 1))).tobytes()
+
+
 class TestPlaneSampler:
     """The separable sampler against the general-grid sampler it replaced
     (tests/plane_sampler.py), fed the plane of the same axis grid."""

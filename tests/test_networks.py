@@ -540,15 +540,15 @@ def conv_outputs(stack, side, b):
 
 class TestCheckpointedRollout:
     """Under a graph, each glimpse's head (the sampler and the encoder's
-    first two convolutions) is one checkpoint node that reruns in
+    first HEAD_LAYERS convolutions) is one checkpoint node that reruns in
     backward."""
 
     @staticmethod
-    def train_step(rollout, seed=50, n=9):
-        """The bytes of one toy train step's final map, loss, windows, every
+    def train_step(rollout, seed=50, n=9, name="toy"):
+        """The bytes of one train step's final map, loss, windows, every
         grad and every tensor after it, running statistics included, and
         the running statistics as the forward left them."""
-        p, init, refine = make_nets("toy", seed=seed)
+        p, init, refine = make_nets(name, seed=seed)
         imgs = rand_images(p, b=4, seed=seed + 1)
         r0 = T.Tensor(init.forward_raw(imgs).data)
         target = (np.random.default_rng(seed + 2).uniform(size=r0.shape) > 0.5).astype(float)
@@ -574,6 +574,45 @@ class TestCheckpointedRollout:
         running = {k: v for k, v in checkpointed[-1].items() if k.endswith(("rmean", "rvar"))}
         assert running == after_forward and len(running) > 0
 
+    def test_tiny_rollout_whose_cut_covers_the_whole_encoder_matches_the_plain_tape(self):
+        assert len(N.preset("tiny").encoder) < N.HEAD_LAYERS
+        plain, _ = self.train_step("unskipped", name="tiny")
+        checkpointed, after_forward = self.train_step("library", name="tiny")
+        assert checkpointed == plain
+        running = {k: v for k, v in checkpointed[-1].items() if k.endswith(("rmean", "rvar"))}
+        assert running == after_forward and len(running) > 0
+
+    def test_rerun_skips_the_forward_of_the_heads_last_convolution(self, monkeypatch):
+        forwards, in_backward = [0], [False]
+
+        def counting(plan):
+            def wrapped(*args):
+                forward, backward = plan(*args)
+
+                def counted(*a):
+                    forwards[0] += in_backward[0]
+                    return forward(*a)
+                return counted, backward
+            return wrapped
+
+        for name in ("_conv2d_plan", "_unpool_conv2d_plan"):
+            monkeypatch.setattr(nn, name, counting(getattr(nn, name)))
+        backward = T.backward
+
+        def counted_backward(loss):
+            in_backward[0] = True
+            try:
+                backward(loss)
+            finally:
+                in_backward[0] = False
+        monkeypatch.setattr(T, "backward", counted_backward)
+        n = 9
+        self.train_step("library", n=n)
+        head = len(N.preset("toy").encoder[:N.HEAD_LAYERS])
+        assert head == 3
+        # each of the n - 1 glimpses reruns every head convolution but the last
+        assert forwards[0] == (n - 1) * (head - 1)
+
     def test_untracked_window_with_tracked_encoder_params(self):
         runs = []
         for checkpointed in (False, True):
@@ -597,12 +636,22 @@ class TestCheckpointedRollout:
             T.backward(loss)
             runs.append([t.grad.tobytes() if t.grad is not None else None for t in params]
                         + [t.data.tobytes() for _, t in refine.encoder.tensors()])
-            assert nodes == (1 if checkpointed else 2)    # the sampler does not record
+            assert nodes == (1 if checkpointed else len(head))    # the sampler does not record
         assert runs[0] == runs[1]
 
     def test_tape_leaves_out_the_glimpses_and_the_first_x_hats(self):
-        p, init, refine = make_nets("toy", seed=54)
-        b, n = 8, N.DEFAULT_ITERATIONS
+        self.check_tape("toy", 8)
+
+    @pytest.mark.slow
+    def test_paper_tape_leaves_out_the_glimpses_and_the_first_x_hats(self):
+        self.check_tape("paper", 2)
+
+    @staticmethod
+    def check_tape(name, b):
+        """The tape after the forward of a `name` rollout of `b` images,
+        against a bound from the layer shapes that the plain tape fails."""
+        p, init, refine = make_nets(name, seed=54)
+        n = N.DEFAULT_ITERATIONS
         imgs = rand_images(p, b=b, seed=55)
         r0 = T.Tensor(init.forward_raw(imgs).data)
         with T.Graph() as g:
@@ -612,15 +661,15 @@ class TestCheckpointedRollout:
         code, patch = enc[-1], dec[-1]
         # the context encoder keeps one activation per conv, its trailing
         # ReLU output and the first recurrent state. Each glimpse keeps the
-        # x-hat of every encoder conv output but the first, the trailing ReLU
-        # output, the recurrent state, one activation per decoder conv, the
-        # patch (which the inverse sampler keeps), the new map and its window
-        # mask; not the glimpse, nor the first conv output's x-hat
+        # x-hat of every encoder conv output but the first two, the trailing
+        # ReLU output, the recurrent state, one activation per decoder conv,
+        # the patch (which the inverse sampler keeps), the new map and its
+        # window mask; not the glimpse, nor the first two conv outputs' x-hats
         context = sum(enc) + 2 * code
-        glimpse = sum(enc[1:]) + 2 * code + sum(dec[:-1]) + 2 * patch + patch // 8
+        glimpse = sum(enc[2:]) + 2 * code + sum(dec[:-1]) + 2 * patch + patch // 8
         bound = context + (n - 1) * glimpse + len(g) * SLACK
         assert kept <= bound
-        # the plain tape, which keeps each glimpse and its first x-hat too
+        # the plain tape, which keeps each glimpse and its first x-hats too
         with T.Graph():
             _, plain, _ = traced_bytes(
                 lambda: TestRunRefinement.unskipped_rollout(refine, imgs, r0, n, "train"))

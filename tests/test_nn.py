@@ -440,6 +440,29 @@ class TestUnpoolConv2d:
         flipped = p.weights.data.nbytes    # [16*5*5, 16] float64
         assert kept <= out.data.nbytes + SLACK < out.data.nbytes + flipped
 
+    def test_backward_builds_the_weight_gradient_as_one_array(self):
+        # the first paper decoder block at B=2, whose [C_out*kh*kw, C_in]
+        # weight gradient takes 6.25 MiB, on an untracked input, so that the
+        # closure builds no input gradient
+        b, c_in, c_out, side, kernel = 2, 256, 128, 7, 5
+        rng = np.random.default_rng(24)
+        x = T.Tensor(rng.normal(size=(b, c_in, side, side)))
+        p = conv_params(rng.normal(size=(c_out, c_in, kernel, kernel)), rng.normal(size=(c_out,)),
+                        padding=2)
+        with T.Graph() as g:
+            out = nn.unpool_conv2d(x, p, 2)
+        _, closure = g._nodes[out._node[1]]
+        og = rng.normal(size=out.shape)
+        (d_x, d_w, _), _, peak = traced_bytes(lambda: closure(og))
+        assert d_x is None
+        cols = c_out * kernel * kernel * b * side * side * 8
+        window = b * c_out * (2 * (side - 1) + kernel) ** 2 * 8
+        # beside the weight gradient it returns, the output gradient's
+        # zero-bordered window and its columns, and the input laid side by
+        # side; a second weight gradient to sum into the first would not fit
+        bound = d_w.nbytes + window + cols + x.data.nbytes + SLACK
+        assert peak <= bound < 2 * d_w.nbytes + cols
+
 
 def _conv_call(stride=1, padding=0):
     return lambda: nn.conv2d(T.zeros([1, 1, 4, 4]), conv_params(np.zeros((1, 1, 3, 3)), None,

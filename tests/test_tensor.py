@@ -382,6 +382,28 @@ class TestCheckpoint:
         T.backward(loss)
         assert w.grad.tolist() == [0.0, 1.0, 2.0, 3.0]
 
+    def test_rerun_computes_no_output_that_nothing_reads(self):
+        # an op recorded as a function of its output, whose backward, like
+        # the fused convolutions', reads only its input
+        forwards = []
+
+        def scale(t, name):
+            data = t.data       # an op reads its input as it records
+
+            def bwd(og):
+                return (og * 2.0,)
+            return T.record(lambda: forwards.append(name) or data * 2.0, [t], bwd)
+
+        x = T.Tensor(np.arange(3.0), requires_grad=True)
+        with T.Graph():
+            out = T.checkpoint(lambda t: scale(scale(t, "inner"), "last"), [x])
+            loss = sum_all(out)
+        assert forwards == ["inner", "last"] and out.data.tolist() == [0.0, 4.0, 8.0]
+        T.backward(loss)
+        # the rerun computed the output that the last op read, and not its own
+        assert forwards == ["inner", "last", "inner"]
+        assert x.grad.tolist() == [4.0, 4.0, 4.0]
+
     def test_first_run_that_raises_restores_the_graph(self):
         def boom(t):
             raise RuntimeError("first run")
