@@ -13,20 +13,11 @@ units: the batchnorm and ReLU of a layer run inside the next layer's
 convolution, as one tape node (``nn.bn_relu_conv2d``,
 ``nn.bn_relu_unpool_conv2d``) that keeps one activation. The first
 convolution of a stack is a plain op, and the encoder ends in
-``relu(batchnorm)``. The refinement network
-re-uses the same encoder/decoder shapes inside a two-layer recurrent loop
-that attends to one window per iteration and accumulates decoded patches
-into the running map. Under a graph, each glimpse's head, the sampler and
-the encoder's first three convolutions (:data:`HEAD_LAYERS`, or the whole
-encoder if it is shallower), is one ``tensor.checkpoint`` node that keeps
-only the image and the window. So the tape holds none of the three
-largest activations of a glimpse: the glimpse, which the first
-convolution would keep, and the x-hats of the first two layers' outputs,
-which the second and third would keep. Backward samples the glimpse, runs
-the first two layers again and records the third's node without its
-convolution, whose output the rerun never reads, so a rerun costs the
-sampler, two convolutions and one batchnorm reduction. The deeper layers
-keep little and would cost more to rerun, so they record as usual.
+``relu(batchnorm)``. The refinement network re-uses the same
+encoder/decoder shapes inside a two-layer recurrent loop that attends to
+one window per iteration and accumulates decoded patches into the running
+map; under a graph, each glimpse's head is one checkpoint node
+(:meth:`RefineNet.run_refinement`).
 
 Both networks take batched input only: images ``[B,3,S,S]`` and raw maps
 ``[B,1,M,M]``. A rollout returns a :class:`RefinementTrace` holding each
@@ -131,12 +122,15 @@ class ConvLayer:
     """A convolution whose output goes through batchnorm and ReLU, or the
     conv alone when ``bare``. The layer owns its batchnorm, but the
     batchnorm and ReLU run where the output is read: inside the next
-    layer's convolution, or after the last layer of a :class:`Stack`."""
+    layer's convolution, or after the last layer of a :class:`Stack`.
+    Only a bare layer has a bias. Before a batchnorm a bias does nothing:
+    train mode subtracts the batch mean, and in infer mode the running mean
+    absorbs it (Ioffe & Szegedy 2015, arXiv 1502.03167, section 3.2)."""
 
     def __init__(self, c_in, c_out, kernel, rng, stride=1, bare=False):
         self.conv = nn.Conv2dParams(
             weights=T.he_normal([c_out, c_in, kernel, kernel], rng, requires_grad=True),
-            bias=T.zeros([c_out], requires_grad=True),
+            bias=T.zeros([c_out], requires_grad=True) if bare else None,
             stride=stride, padding=kernel // 2)
         self.norm = None if bare else _bn(c_out)
 
@@ -150,7 +144,8 @@ class ConvLayer:
 
     def tensors(self):
         yield "w", self.conv.weights
-        yield "b", self.conv.bias
+        if self.conv.bias is not None:
+            yield "b", self.conv.bias
         if self.norm is not None:
             yield "gamma", self.norm.gamma
             yield "beta", self.norm.beta
@@ -363,11 +358,17 @@ class RefineNet:
 
         The head of each glimpse, the window sampled from the image through
         the first :data:`HEAD_LAYERS` encoder convolutions (all of them in
-        a shallower encoder), runs under ``T.checkpoint``: with no graph
-        active that is the plain call, and under a graph it records one
-        node that backward reruns, giving the plain tape's gradients and
-        running statistics byte for byte. The rerun computes every head
-        convolution but the last, whose node alone the walk reads."""
+        a shallower encoder), runs under ``T.checkpoint``, which keeps only
+        the image and the window. So the tape holds none of a glimpse's
+        three largest activations: the glimpse, which the first convolution
+        would keep, and the x-hats of the first two layers' outputs, which
+        the second and third would keep. A rerun costs the sampler, two
+        convolutions and one batchnorm reduction, since it records the last
+        convolution's node without computing its output, which nothing
+        reads; the deeper layers keep little and would cost more to rerun,
+        so they record as usual. The head reads the window once and the
+        image is untracked, so the gradients and running statistics are
+        the plain tape's byte for byte."""
         nn._require_int(n, 1, "refinement iterations n")
         x = _check_images(images, self.preset)
         b = x.shape[0]

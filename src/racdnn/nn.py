@@ -3,49 +3,20 @@
 Every layer takes batched input only: spatial layers, batchnorm included,
 take ``[B,C,H,W]`` and vector layers take ``[B,n]``; a single image is a
 batch of one. Infer-mode batchnorm is one per-channel scale and shift.
-Convolution is cross-correlation (no kernel flip), computed as im2col and
-one matmul per block: a block is a group of whole images when one image's
-columns fit :data:`_BLOCK_BYTES`, otherwise a run of one image's output
-rows, so the columns of the whole batch never exist at once. When it
-records, :func:`conv2d` keeps its input by reference, and backward reads
-each block's window again to rebuild its columns. The decoder's unpool
-then stride-1 convolution is one op, :func:`unpool_conv2d`: a transposed
+Convolution is cross-correlation (no kernel flip), computed in blocks of
+im2col and one matmul (:func:`conv2d`). The decoder's unpool then
+stride-1 convolution is one op, :func:`unpool_conv2d`, a transposed
 convolution that never builds the unpooled zeros, equal to
-``conv2d(unpool(x, k), p)``, which stays as its reference. Its forward
-computes the taps one kernel row at a time, so neither all the taps nor
-all the flipped weights exist at once.
-
-Both ops gather with :func:`_window` then :func:`_im2col` and scatter
-with :func:`_scatter_taps`, under the one origin rule that
+``conv2d(unpool(x, k), p)``, which stays as its reference. Both ops
+gather with :func:`_window` then :func:`_im2col` and scatter with
+:func:`_scatter_taps`, under the one origin rule that
 :func:`_scatter_taps` states, so no padding is a zero canvas around an
-input or a gradient, and no result is cropped out of a larger array.
+input or a gradient, and no result is cropped out of a larger array. The
+temporaries of a convolution's forward come from :func:`_scratch`.
 
-The temporaries a convolution's forward holds within one call come from
-:func:`_scratch`: a block's zero-bordered window, its BN-ReLU rows and
-its im2col columns, and an unpool's BN-ReLU input, flipped weights row,
-taps row and output-shaped canvas. With no graph active these are
-per-thread buffers that are reused by the next call, so a steady
-inference pass faults in no fresh pages for them. They only grow: each
-slot keeps the size of the largest call this thread has made, a conv
-block's at most about :data:`_BLOCK_BYTES` and an unpool's its whole
-batch's canvas, until a forward under a graph drops them all; under a
-graph they are fresh memory, because there the tape sets the peak. Each
-use writes every element it reads. An op's output, a tape closure's
-array and a gradient never come from the workspace, and backward never
-uses it. A bias add over small planes takes its broadcast bias values
-from the workspace too (:func:`_add_bias`), since numpy would otherwise
-buffer them on top of it.
-
-A conv stack runs as pre-activation units: :func:`bn_relu_conv2d` and
-:func:`bn_relu_unpool_conv2d` are ``conv(relu(batchnorm(x)))`` as one
-op, byte for byte. Each convolution is a plan, a forward and a backward
-that take the input array and the same optional BN-ReLU as arguments, so
-the fused op applies batchnorm's per-channel scale and shift and the ReLU
-to each block's rows as it reads its window, in forward and again in
-backward, and keeps only what batchnorm's backward reads (x-hat in train
-mode, the input in infer mode). Batchnorm's statistics and gradients live
-in :func:`_batchnorm_forward`, which :func:`batchnorm` shares; its
-gradients are written over the output gradient they are handed.
+A conv stack runs as pre-activation units, :func:`bn_relu_conv2d` and
+:func:`bn_relu_unpool_conv2d`. Batchnorm's statistics and gradients live
+in :func:`_batchnorm_forward`, which :func:`batchnorm` shares.
 
 A stride, padding or unpool factor that is not an integer in range (a
 bool is not one) raises :class:`~racdnn.errors.ArgumentError`; weights
@@ -141,9 +112,12 @@ def _scratch(slot: str, shape: tuple) -> np.ndarray:
     a view of this thread's buffer `slot`, grown to fit and kept for the
     next call, so a steady pass faults in no fresh pages; the next request
     for `slot` overwrites it. The buffer stays as large as the largest
-    request the thread has made. While a graph is active it is fresh
-    memory, because there the tape, not the temporaries, sets the peak,
-    and the thread's buffers are dropped."""
+    request the thread has made: a conv block's slot at most about
+    :data:`_BLOCK_BYTES`, an unpool's its whole batch. While a graph is
+    active it is fresh memory, because there the tape, not the
+    temporaries, sets the peak, and the thread's buffers are dropped. Each
+    use writes every element it reads. An op's output, a tape closure's
+    array and a gradient never come from it, and backward never calls it."""
     if _active_graph() is not None:
         _workspace.__dict__.pop("bufs", None)
         return np.empty(shape)

@@ -26,20 +26,10 @@ return an array that it or the network keeps.
 Ops follow one rule: a closure keeps only what its gradients read, and an
 op computes no gradient for an input that :func:`needs_grad` reports
 untracked, returning None in that slot. What backward can rebuild from an
-array that lives anyway, an input, an output or a weight, it rebuilds
-instead of keeping a copy: ``nn.conv2d`` keeps its input by reference and
-pads it again, ``relu`` keeps its output, not a mask,
-``attention.bilinear_sample`` keeps its source by reference and its 1-D
-taps, not per-pixel planes, and ``nn.unpool_conv2d`` keeps its weights,
-not their flipped copy. Backward also rebuilds what is cheap to compute
-again: ``nn.bn_relu_conv2d`` and ``nn.bn_relu_unpool_conv2d`` keep only
-batchnorm's x-hat (in infer mode, their input), and backward recomputes
-the ReLU output from it, so a conv stack's tape holds one activation per
-layer. A segment of ops under :func:`checkpoint` is one node that keeps
-its inputs, by reference, and nothing else: backward runs the segment
-again on a sub-tape and walks that. An op with one input meets the
-second half of the rule for free, because with no tracked input it
-records nothing.
+array that lives anyway (an input, an output or a weight), or compute
+again cheaply, it rebuilds rather than keeps; each op says what its tape
+keeps. An op with one input meets the second half of the rule for free,
+because with no tracked input it records nothing.
 ``nn.conv2d`` checks its input and ``attention.bilinear_sample`` its source
 and its grid, because an image or a fixed grid is often untracked there;
 the other ops with several inputs pass the output gradient through, or
@@ -233,7 +223,12 @@ def checkpoint(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     byte, when the rerun computes what the first run did. For that, `fn`
     must return one Tensor and read nothing that changes between its run
     and backward, and an op with a side effect must skip it in the rerun
-    (:func:`_recomputing`). A second backward through the node raises
+    (:func:`_recomputing`). One gradient may differ in rounding: that of a
+    tracked op output which `fn` reads in two ops, or which is passed
+    twice, and which the pass also reads after the node. It sums the plain
+    tape's terms in another order: the rerun sums `fn`'s terms on its fresh
+    leaves, and the pass's walk adds those sums to the other terms. A
+    second backward through the node raises
     :class:`~racdnn.errors.GraphError`, as through any consumed node.
 
     The rerun computes no output that nothing reads. An op that records

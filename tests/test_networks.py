@@ -98,16 +98,19 @@ class TestPresets:
     @pytest.mark.parametrize("name", sorted(EXPLICIT_TABLES))
     def test_every_conv_matches_the_explicit_tables(self, name):
         encoder, decoder = self.EXPLICIT_TABLES[name]
-        # (unpooled input, weight shape, stride, padding, batchnorm) per conv
-        want_enc = [(False, (co, ci, k, k), s, pd, True) for ci, co, k, s, pd in encoder]
+        # (unpooled input, weight shape, stride, padding, batchnorm, bias)
+        # per conv: a bias exactly where no batchnorm follows
+        want_enc = [(False, (co, ci, k, k), s, pd, True, False) for ci, co, k, s, pd in encoder]
         want_dec = []
         for i, (ci, cm, co) in enumerate(decoder):
-            want_dec += [(True, (cm, ci, 5, 5), 1, 2, True),
-                         (False, (co, cm, 1, 1), 1, 0, i < len(decoder) - 1)]
+            last = i == len(decoder) - 1
+            want_dec += [(True, (cm, ci, 5, 5), 1, 2, True, False),
+                         (False, (co, cm, 1, 1), 1, 0, not last, last)]
 
         def geometry(stack):
             return [(isinstance(layer, N.UnpoolConvLayer), layer.conv.weights.shape,
-                     layer.conv.stride, layer.conv.padding, layer.norm is not None)
+                     layer.conv.stride, layer.conv.padding, layer.norm is not None,
+                     layer.conv.bias is not None)
                     for layer in stack.layers]
 
         _, init, refine = make_nets(name)
@@ -120,6 +123,8 @@ class TestPresets:
         c = encoder[-1][1]
         for conv in (refine.w1_i, refine.w1_r):
             assert (conv.weights.shape, conv.stride, conv.padding) == ((c, c, 3, 3), 1, 1)
+        # the recurrent input conv's bias serves both terms of the sum
+        assert refine.w1_i.bias is not None and refine.w1_r.bias is None
 
     @pytest.mark.parametrize("name,map_size", [("tiny", 16), ("toy", 32)])
     def test_map_sizes(self, name, map_size):
@@ -365,7 +370,8 @@ class TestRefineStep:
         for layer in refine.decoder.layers:
             if hasattr(layer, "conv"):
                 layer.conv.weights.data[:] = 0.0
-                layer.conv.bias.data[:] = 0.0
+                if layer.conv.bias is not None:
+                    layer.conv.bias.data[:] = 0.0
                 if layer.norm is not None:
                     layer.norm.beta.data[:] = 0.0
         r_prev = T.Tensor(np.random.default_rng(19).normal(size=(2, 1, 16, 16)))
@@ -746,6 +752,28 @@ class TestFullPipelineGradient:
                 assert err <= 1e-3, f"{name}[{idx}]: analytic {tensor.grad[idx]:.6g} vs numeric {numeric:.6g} (rel {err:.2g})"
                 checked += 1
         assert checked >= 20
+
+    def test_every_parameter_of_a_two_stage_step_gets_a_gradient(self):
+        """No parameter is dead: one seeded train step of both stages gives
+        each a gradient above rounding noise. A conv bias in front of a
+        batchnorm, whose true gradient is 0, reads at most 1.4e-17 here."""
+        p, init, refine = make_nets("tiny", seed=44)
+        imgs = rand_images(p, b=4, seed=45)
+        target = (np.random.default_rng(46).uniform(size=(4, 1, 16, 16)) > 0.5).astype(float)
+        with T.Graph():
+            r0 = init.forward_raw(imgs, "train")
+            loss = N.refinement_loss(r0, target)
+        T.backward(loss)
+        with T.Graph():
+            _, trace = refine.run_refinement(imgs, T.Tensor(r0.data), n=3, mode="train")
+            loss = N.refinement_loss(trace.raw_final, target)
+        T.backward(loss)
+        grads = {f"{net}.{k}": t.grad for net, params in (("init", init.parameters()),
+                                                           ("refine", refine.parameters()))
+                 for k, t in params.items()}
+        dead = {k: None if g is None else float(np.abs(g).max()) for k, g in grads.items()
+                if g is None or np.abs(g).max() <= 1e-9}
+        assert not dead
 
 
 class TestWorkspace:

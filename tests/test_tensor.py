@@ -361,6 +361,27 @@ class TestCheckpoint:
         assert checkpointed == plain
         assert nodes == plain_nodes - 3
 
+    @pytest.mark.parametrize("passed_twice", [False, True], ids=["read-twice", "passed-twice"])
+    def test_op_output_read_twice_and_after_the_segment_sums_in_another_order(self, passed_twice):
+        # the rerun sums the segment's terms in that op output's gradient
+        # on its own leaves, and the pass's walk adds those sums to the
+        # term of the op after the segment
+        def run(checkpointed):
+            x = T.Tensor(np.random.default_rng(23).normal(size=(64,)), requires_grad=True)
+            with T.Graph():
+                a = mul(x, 3.0)
+                if passed_twice:
+                    fn, ins = (lambda t, u: mul(T.sigmoid(t), T.relu(u))), [a, a]
+                else:
+                    fn, ins = (lambda t: mul(T.sigmoid(t), T.relu(t))), [a]
+                out = T.checkpoint(fn, ins) if checkpointed else fn(*ins)
+                T.backward(sum_all(T.add(out, T.sigmoid(a))))
+            return out.data, x.grad
+
+        (plain_out, plain), (out, grad) = run(False), run(True)
+        assert out.tobytes() == plain_out.tobytes()
+        np.testing.assert_allclose(grad, plain, rtol=1e-14, atol=0)
+
     def test_with_no_graph_it_is_the_call(self):
         out = T.Tensor([1.0])
         assert T.checkpoint(lambda t: out, [T.Tensor([2.0])]) is out
