@@ -15,28 +15,29 @@ coordinates, as the outer AND of a row mask and a column mask.
 
 Coordinate convention: normalized coordinates span [-1, 1] with -1 at the
 *center* of the first source pixel of an axis and +1 at the center of the
-last one. The sampler reads the source inside a one-pixel ring of zeros,
-in place of validity masks: a neighbour outside the source reads an exact
-+0.0, which is what makes the inverse transformer write a patch onto an
-untouched canvas.
+last one.
 
 Sampling is separable, the "attention" case of Jaderberg et al. 2015,
-"Spatial Transformer Networks": it interpolates rows at the y taps, then
-columns at the x taps. The tape keeps the ``[B, out_h + out_w]`` tap
-indices and offsets and, for a tracked grid, a reference to the source
-array (not a copy); nothing per pixel. Backward rebuilds the
-row-interpolated planes from these.
+"Spatial Transformer Networks" (eq. 5): the bilinear kernel summed over
+the source is, per image, the product ``Ry . U . Rx^T`` of two per-axis
+interpolation matrices, whose rows hold the two tap weights of an output
+row or column. A tap that falls off the source has no column, so it adds
+an exact +0.0, which is what makes the inverse transformer write a patch
+onto an untouched canvas. The products multiply every source pixel, even
+those of weight 0, and ``0 * inf`` is NaN, so a non-finite source raises
+rather than spread. The tape keeps the ``[B, out_h + out_w]`` tap indices
+and offsets and, for a tracked grid, a reference to the source array (not
+a copy); nothing per pixel. Backward rebuilds the matrices from these.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Union
 
 import numpy as np
 
 from .errors import NumericError, ScaleError, ShapeError
-from .tensor import Tensor, needs_grad, record, _sigmoid
+from .tensor import Tensor, needs_grad, record, _check_tensor, _sigmoid
 
 SCALE_MIN = 0.2
 SCALE_MAX = 1.0
@@ -54,6 +55,7 @@ def base_coords(n: int) -> np.ndarray:
 
 
 def _check_rows(x: Tensor, what: str) -> np.ndarray:
+    _check_tensor(x, what)
     if x.ndim != 2 or x.shape[1] != 3:
         raise ShapeError(f"{what} must be [B,3], got {x.shape}")
     return x.data
@@ -95,9 +97,10 @@ def _pixels(coords: np.ndarray, n: int) -> np.ndarray:
 
 def _taps(coords: np.ndarray, n: int):
     """Indices [2,B,k] of the two bilinear taps of `coords` [B,k] on an
-    n-long source axis framed by a one-pixel ring, and each sample's offset
-    [B,k] past its first tap. Taps are clipped onto the ring as floats, so
-    no cast overflows and an off-image tap lands on the ring."""
+    n-long source axis, counted on that axis framed by a one-pixel ring, so
+    0 and n + 1 are off the source; and each sample's offset [B,k] past its
+    first tap. Taps are clipped onto the ring as floats, so no cast
+    overflows and an off-image tap lands on the ring."""
     p = _pixels(coords, n)
     lo = np.floor(p)
     frac = p - lo
@@ -105,57 +108,18 @@ def _taps(coords: np.ndarray, n: int):
     return idx.astype(np.intp), frac
 
 
-def _pair(a: np.ndarray, taps: np.ndarray, axis: int, out=None):
-    """`a` [B,C,H,W] at both taps [2,B,k] of each image along `axis` (2 or
-    3), as two takes from a 2-D view of `a`: of whole rows along axis 2, of
-    single values along axis 3. The first tap's values go into `out` if
-    given."""
-    shape = a.shape
-    outer = math.prod(shape[1:axis])
-    inner = math.prod(shape[axis + 1:])
-    view = a.reshape(-1, inner)
-    flat = np.arange(0, shape[0] * outer * shape[axis], shape[axis]).reshape(shape[0], outer, 1)
-    flat = flat + taps[0][:, None, :]
-    picked = shape[:axis] + (taps.shape[2],) + shape[axis + 1:]
-    first = np.empty(picked) if out is None else out
-    # every index is in range; mode="clip" keeps numpy from buffering `out`
-    np.take(view, flat, axis=0, out=first.reshape(flat.shape + (inner,)), mode="clip")
-    flat += (taps[1] - taps[0])[:, None, :]
-    second = np.take(view, flat, axis=0, mode="clip").reshape(picked)
-    return first, second
-
-
-def _blend(first: np.ndarray, second: np.ndarray, frac: np.ndarray, axis: int) -> np.ndarray:
-    """(1 - frac) * first + frac * second along `axis`, in place in `first`."""
-    f = frac[:, None, :, None] if axis == 2 else frac[:, None, None, :]
-    first *= 1.0 - f
-    second *= f
-    first += second
-    return first
-
-
-def _interp_matrix(taps: np.ndarray, frac: np.ndarray, n: int) -> np.ndarray:
-    """[B,k,n] matrix of the 2-tap interpolation at `taps`, `frac` on a
-    ringed n-long axis: row j holds the weights of output j."""
-    b, k = frac.shape
-    m = np.zeros((b, k, n))
+def _interp_matrix(taps: np.ndarray, first, second, n: int) -> np.ndarray:
+    """[B,k,n] matrix over an n-long source axis whose row j holds `first`
+    at output j's first tap and `second` at its second (taps [2,B,k] as
+    :func:`_taps` gives them): the interpolation matrix for ``1 - frac``
+    and ``frac``, its slope for -1 and +1. A tap on the ring has no
+    column."""
+    b, k = taps.shape[1:]
+    m = np.zeros((b, k, n + 2))
     bi, ki = np.ogrid[:b, :k]
-    m[bi, ki, taps[0]] = 1.0 - frac
-    m[bi, ki, taps[1]] += frac
-    return m
-
-
-def _ring(data: np.ndarray) -> np.ndarray:
-    """`data` [B,C,H,W] inside a one-pixel ring of zeros, the bytes of
-    ``np.pad`` with one buffer and one copy."""
-    b, c, h, w = data.shape
-    out = np.empty((b, c, h + 2, w + 2), dtype=data.dtype)
-    out[:, :, 0] = 0.0
-    out[:, :, -1] = 0.0
-    out[:, :, 1:-1, 0] = 0.0
-    out[:, :, 1:-1, -1] = 0.0
-    out[:, :, 1:-1, 1:-1] = data
-    return out
+    m[bi, ki, taps[0]] = first
+    m[bi, ki, taps[1]] += second
+    return m[:, :, 1:-1]
 
 
 def bilinear_sample(source: Tensor, grid: Union[Tensor, np.ndarray], out_h: int) -> Tensor:
@@ -163,15 +127,19 @@ def bilinear_sample(source: Tensor, grid: Union[Tensor, np.ndarray], out_h: int)
     output (i, j) of image b reads the source at y = grid[b, i] and
     x = grid[b, out_h + j].
 
-    Rows are interpolated at the y taps, then columns at the x taps, each
-    read from inside a one-pixel ring of zeros: an out-of-bounds neighbour
-    reads an exact +0.0 and sends its gradient to the ring, which is
-    cropped away. Differentiable in the source and (for a tracked grid) in
-    the grid coordinates. The tape keeps the [B, out_h + out_w] taps and,
-    for a tracked grid, a reference to the source array. A grid of the
-    wrong rank, batch or length raises :class:`~racdnn.errors.ShapeError`,
-    a non-finite one :class:`~racdnn.errors.NumericError`.
+    The output is ``Ry . src . Rx^T``, with Ry [B,out_h,H] and Rx
+    [B,out_w,W] the interpolation matrices of the y and x taps. A tap off
+    the source has no column there, so it reads an exact +0.0 and takes no
+    gradient. Differentiable in the source (``Ry^T . og . Rx``) and, for a
+    tracked grid, in the grid coordinates, through the slope matrices Dy
+    and Dx, which hold -1 at the first tap and +1 at the second. The tape
+    keeps the [B, out_h + out_w] taps and, for a tracked grid, a reference
+    to the source array. A source that is not a Tensor raises
+    :class:`~racdnn.errors.ArgumentError`; a grid of the wrong rank, batch
+    or length :class:`~racdnn.errors.ShapeError`; a non-finite grid or
+    source :class:`~racdnn.errors.NumericError`.
     """
+    _check_tensor(source, "bilinear_sample source")
     grid_t = grid if isinstance(grid, Tensor) else Tensor(grid)
     if source.ndim != 4:
         raise ShapeError(f"source must be [B,C,H,W], got {source.shape}")
@@ -184,38 +152,32 @@ def bilinear_sample(source: Tensor, grid: Union[Tensor, np.ndarray], out_h: int)
         raise ShapeError(f"grid length {gd.shape[1]} is not out_h {out_h!r} plus out_w >= 1")
     if not np.isfinite(gd).all():
         raise NumericError("bilinear_sample grid has non-finite coordinates")
+    sd = source.data
+    if not np.isfinite(sd).all():
+        raise NumericError("bilinear_sample source has non-finite values")
 
     ty, fy = _taps(gd[:, :out_h], h)
     tx, fx = _taps(gd[:, out_h:], w)
-    # the output comes before the ring and the gathers, since allocated
-    # after them it leaves heap holes that raise the peak RSS
     out = np.empty((b, c, out_h, gd.shape[1] - out_h))
-    rows = _blend(*_pair(_ring(source.data), ty, 2), fy, 2)
-    _blend(*_pair(rows, tx, 3, out), fx, 3)
+    rows = np.matmul(_interp_matrix(ty, 1.0 - fy, fy, h)[:, None], sd)
+    np.matmul(rows, _interp_matrix(tx, 1.0 - fx, fx, w)[:, None].transpose(0, 1, 3, 2), out=out)
 
     track_src = needs_grad(source)
-    # the caller's array, not a copy: backward rebuilds the rows from it
-    src = source.data if needs_grad(grid_t) else None
+    # the caller's array, not a copy: backward's grid slopes read it
+    src = sd if needs_grad(grid_t) else None
 
     def bwd(og):
         d_src = d_grid = None
-        # og . Rx: the output gradient spread over the ringed columns by the
-        # 2-tap interpolation matrix of the x taps
-        og_rx = np.matmul(og, _interp_matrix(tx, fx, w + 2)[:, None])
+        ry = _interp_matrix(ty, 1.0 - fy, fy, h)[:, None]
+        og_rx = np.matmul(og, _interp_matrix(tx, 1.0 - fx, fx, w)[:, None])
         if track_src:
-            # Ry^T . og . Rx, then the ring is cropped
-            ry_t = _interp_matrix(ty, fy, h + 2).transpose(0, 2, 1)[:, None]
-            d_src = np.matmul(ry_t, og_rx)[:, :, 1:-1, 1:-1]
+            d_src = np.matmul(ry.transpose(0, 1, 3, 2), og_rx)
         if src is not None:
-            top, bottom = _pair(_ring(src), ty, 2)
-            # vertical slope: og . Rx against the bottom minus top rows
-            d_gy = np.einsum("bcix,bcix->bi", bottom - top, og_rx) * (0.5 * (h - 1))
-            # horizontal slope: og against the right minus left tap of the
-            # row-interpolated planes, summed over channels and rows first
-            rows = _blend(top, bottom, fy, 2).reshape(b, c * out_h, w + 2)
-            m = np.matmul(og.reshape(b, c * out_h, -1).transpose(0, 2, 1), rows)
-            m = np.take_along_axis(m, tx.transpose(1, 2, 0), axis=2)
-            d_gx = (m[..., 1] - m[..., 0]) * (0.5 * (w - 1))
+            dy = _interp_matrix(ty, -1.0, 1.0, h)[:, None]
+            d_gy = np.einsum("bcix,bcix->bi", np.matmul(dy, src), og_rx) * (0.5 * (h - 1))
+            dx_t = _interp_matrix(tx, -1.0, 1.0, w)[:, None].transpose(0, 1, 3, 2)
+            slope_x = np.matmul(np.matmul(ry, src), dx_t)
+            d_gx = np.einsum("bcij,bcij->bj", slope_x, og) * (0.5 * (w - 1))
             d_grid = np.concatenate([d_gy, d_gx], axis=1)
         return d_src, d_grid
 

@@ -36,7 +36,7 @@ from . import attention as at
 from . import nn
 from . import tensor as T
 from .errors import ArgumentError, ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, _check_tensor
 
 DEFAULT_ITERATIONS = 9
 # encoder layers in each glimpse's checkpointed head (RefineNet.run_refinement),
@@ -213,11 +213,6 @@ def build_decoder(p: Preset, rng) -> Stack:
         layers.append(ConvLayer(width, 1 if final else width, 1, rng, bare=final))
         c_in = width
     return Stack(layers)
-
-
-def _check_tensor(t, what: str) -> None:
-    if not isinstance(t, Tensor):
-        raise ArgumentError(f"{what} must be a Tensor, got {type(t).__name__}")
 
 
 def _check_images(images: Tensor, p: Preset) -> Tensor:

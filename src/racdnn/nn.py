@@ -18,12 +18,13 @@ A conv stack runs as pre-activation units, :func:`bn_relu_conv2d` and
 :func:`bn_relu_unpool_conv2d`. Batchnorm's statistics and gradients live
 in :func:`_batchnorm_forward`, which :func:`batchnorm` shares.
 
-A stride, padding or unpool factor that is not an integer in range (a
-bool is not one) raises :class:`~racdnn.errors.ArgumentError`; weights
-of the wrong rank, and a bias or batchnorm vector of the wrong length,
-raise :class:`~racdnn.errors.ShapeError`. The loss is one binary
-cross-entropy, :func:`bce_with_logits`, computed from raw logits, so it
-stays finite for logits far outside the sigmoid's useful range.
+A spatial layer's input that is not a Tensor, and a stride, padding or
+unpool factor that is not an integer in range (a bool is not one), raise
+:class:`~racdnn.errors.ArgumentError`; weights of the wrong rank, and a
+bias or batchnorm vector of the wrong length, raise
+:class:`~racdnn.errors.ShapeError`. The loss is one binary cross-entropy,
+:func:`bce_with_logits`, computed from raw logits, so it stays finite for
+logits far outside the sigmoid's useful range.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, BatchError, ShapeError
-from .tensor import Tensor, needs_grad, record, _active_graph, _recomputing, _sigmoid
+from .tensor import Tensor, needs_grad, record, _active_graph, _check_tensor, _recomputing, _sigmoid
 
 # batchnorm: weight of the old running statistic, and the variance floor
 BN_MOMENTUM = 0.9
@@ -70,6 +71,7 @@ class LinearParams:
 
 
 def _check_4d(x: Tensor, what: str) -> np.ndarray:
+    _check_tensor(x, f"{what} input")
     if x.ndim != 4:
         raise ShapeError(f"{what} expects [B,C,H,W], got {x.shape}")
     return x.data

@@ -138,6 +138,12 @@ class _Unread(Tensor):
         return Tensor.data.__get__(self)
 
 
+def _check_tensor(t, what: str) -> None:
+    """Reject `t`, named `what` in the error, unless it is a Tensor."""
+    if not isinstance(t, Tensor):
+        raise ArgumentError(f"{what} must be a Tensor, got {type(t).__name__}")
+
+
 def needs_grad(t) -> bool:
     """True when a graph is active and `t` is tracked on it: an op output
     recorded there, or a leaf that takes a gradient. The test

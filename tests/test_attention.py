@@ -5,7 +5,7 @@ import pytest
 
 from racdnn import attention as at
 from racdnn import tensor as T
-from racdnn.errors import NumericError, ScaleError, ShapeError
+from racdnn.errors import ArgumentError, NumericError, ScaleError, ShapeError
 
 import grid_oracle as oracle
 import plane_sampler as ref
@@ -116,6 +116,26 @@ BAD_SIZES = {
 def test_bad_sizes_raise_shape_error(case):
     with pytest.raises(ShapeError):
         BAD_SIZES[case]()
+
+
+# a source, a window row or a raw attention output must be a Tensor; only
+# the sampler's grid may be an ndarray
+_ROWS = np.array([[1.0, 0.0, 0.0]])
+NOT_TENSORS = {
+    "bilinear_sample.source": lambda: at.bilinear_sample(np.zeros((1, 1, 4, 4)), lattice_axes(4, 4), 4),
+    "st.image": lambda: at.st(np.zeros((1, 1, 4, 4)), _WINDOW, 4, 4),
+    "st_inverse.patch": lambda: at.st_inverse(np.zeros((1, 1, 4, 4)), _WINDOW, 4, 4),
+    "affine_grid.params": lambda: at.affine_grid(_ROWS, 4, 4),
+    "affine_grid.inverse.params": lambda: at.affine_grid(_ROWS, 4, 4, inverse=True),
+    "constrain_attention.raw": lambda: at.constrain_attention(_ROWS),
+    "inverse_support.params": lambda: at.inverse_support(_ROWS, 4, 4, 4, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_TENSORS))
+def test_non_tensors_raise_argument_error(case):
+    with pytest.raises(ArgumentError, match="must be a Tensor"):
+        NOT_TENSORS[case]()
 
 
 class TestGenerateGrid:
@@ -238,6 +258,16 @@ class TestBilinearSample:
         with pytest.raises(NumericError):
             at.bilinear_sample(T.Tensor(np.ones((1, 1, 3, 3))), grid, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_source_raises(self, bad):
+        # a product with the whole source would turn this pixel, outside
+        # the window, into NaN at every output
+        src = np.zeros((1, 1, 16, 16))
+        src[0, 0, 15, 15] = bad
+        grid = np.concatenate([np.linspace(-1.0, -0.5, 8)] * 2)[None]
+        with pytest.raises(NumericError):
+            at.bilinear_sample(T.Tensor(src), grid, 8)
+
     @pytest.mark.parametrize("shape,out_h", [
         ((2, 4), 2),            # a batch the source does not have
         ((1, 4), 4),            # no column left after the rows
@@ -313,8 +343,8 @@ class TestBilinearSample:
 
         def no_scatter(*args, **kwargs):
             out = matmul(*args, **kwargs)
-            # Ry^T . og . Rx is the only product the size of the ringed source
-            assert out.shape[-2:] != (8, 8), "bilinear_sample scattered a gradient that nothing takes"
+            # Ry^T . og . Rx is the only product the size of the source
+            assert out.shape[-2:] != (6, 6), "bilinear_sample scattered a gradient that nothing takes"
             return out
 
         monkeypatch.setattr(np, "matmul", no_scatter)
@@ -344,15 +374,6 @@ class TestBilinearSample:
         # per axis: two [B, n] tap indices and one [B, n] offset, 8 bytes each
         taps = 2 * 3 * b * n * 8
         assert kept <= out.data.nbytes + taps + SLACK
-
-
-@pytest.mark.parametrize("shape", [(2, 3, 5, 7), (1, 1, 1, 1), (2, 1, 4, 1)])
-def test_ring_is_the_bytes_of_np_pad(shape):
-    # a negative NaN, whose sign bit a copy must keep too
-    src = np.resize([-0.0, np.nan, np.inf, -np.inf, -np.nan, 0.0, 1.5], shape)
-    ringed = at._ring(src)
-    assert ringed.dtype == src.dtype
-    assert ringed.tobytes() == np.pad(src, ((0, 0), (0, 0), (1, 1), (1, 1))).tobytes()
 
 
 class TestPlaneSampler:

@@ -483,12 +483,13 @@ def _bn_call(**lengths):
     return nn.batchnorm(T.zeros([2, 3, 2, 2]), p, "infer")
 
 
-def _bn_relu_conv_call(op, mode="infer", b=2, gamma=3, stride=1, k=2):
+def _bn_relu_conv_call(op, mode="infer", b=2, gamma=3, stride=1, k=2, tensor=True):
     """The fused op `op` ("conv2d" or "unpool_conv2d") over a [b,3,4,4]
-    input and a 3x3 kernel, with gamma's length `gamma`."""
+    input and a 3x3 kernel, with gamma's length `gamma`; the input is an
+    ndarray unless `tensor`."""
     norm = nn.BatchNormParams(T.full([gamma], 1.0), T.zeros([3]), T.zeros([3]), T.full([3], 1.0))
     p = conv_params(np.zeros((2, 3, 3, 3)), None, stride, 1)
-    x = T.zeros([b, 3, 4, 4])
+    x = T.zeros([b, 3, 4, 4]) if tensor else np.zeros((b, 3, 4, 4))
     if op == "conv2d":
         return lambda: nn.bn_relu_conv2d(x, norm, mode, p)
     return lambda: nn.bn_relu_unpool_conv2d(x, norm, mode, p, k)
@@ -542,6 +543,18 @@ BAD_ARGUMENTS = {
                                    ("gamma2", {"gamma": 2}, ShapeError),
                                    ("strideTrue", {"stride": True}, ArgumentError)]},
     "bn_relu_unpool_conv2d.factor0": (_bn_relu_conv_call("unpool_conv2d", k=0), ArgumentError),
+    # an input that is an ndarray, not a Tensor
+    "conv2d.ndarray": (lambda: nn.conv2d(np.zeros((1, 1, 4, 4)), conv_params(np.zeros((1, 1, 3, 3)))),
+                       ArgumentError),
+    "unpool.ndarray": (lambda: nn.unpool(np.zeros((1, 1, 2, 2)), 2), ArgumentError),
+    "unpool_conv2d.ndarray": (lambda: nn.unpool_conv2d(np.zeros((1, 1, 4, 4)),
+                                                       conv_params(np.zeros((1, 1, 3, 3))), 2),
+                              ArgumentError),
+    "batchnorm.ndarray": (lambda: nn.batchnorm(np.zeros((2, 1, 2, 2)), nn.BatchNormParams(
+        T.full([1], 1.0), T.zeros([1]), T.zeros([1]), T.full([1], 1.0)), "infer"), ArgumentError),
+    "bn_relu_conv2d.ndarray": (_bn_relu_conv_call("conv2d", tensor=False), ArgumentError),
+    "bn_relu_unpool_conv2d.ndarray": (_bn_relu_conv_call("unpool_conv2d", tensor=False),
+                                      ArgumentError),
 }
 
 
