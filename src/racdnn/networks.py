@@ -155,12 +155,24 @@ class ConvLayer:
 
 class UnpoolConvLayer(ConvLayer):
     """A ConvLayer whose stride-1 conv reads its input unpooled by 2,
-    without building the unpooled zeros (``nn.unpool_conv2d``)."""
+    without building the unpooled zeros: a transposed convolution at
+    stride 2 (``nn.unpool_conv2d``), whose weights are stored as they
+    scatter, [C_in, C_out, k, k] with the kernel flipped. The layer draws
+    them as the conv of the unpooled input, ``he_normal([c_out, c_in, k,
+    k])``, and stores that converted once: the same draws and the same
+    fan-in, so a seeded net computes the same function whichever layout
+    holds its weights."""
+
+    def __init__(self, c_in, c_out, kernel, rng):
+        super().__init__(c_in, c_out, kernel, rng, stride=2)
+        drawn = self.conv.weights.data
+        self.conv.weights = T.Tensor(drawn.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].copy(),
+                                     requires_grad=True)
 
     def __call__(self, x: Tensor, norm: Optional[nn.BatchNormParams], mode: str) -> Tensor:
         if norm is None:
-            return nn.unpool_conv2d(x, self.conv, 2)
-        return nn.bn_relu_unpool_conv2d(x, norm, mode, self.conv, 2)
+            return nn.unpool_conv2d(x, self.conv)
+        return nn.bn_relu_unpool_conv2d(x, norm, mode, self.conv)
 
 
 class Stack:

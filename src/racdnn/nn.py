@@ -93,14 +93,18 @@ def _check_vector(t: Optional[Tensor], n: int, what: str) -> None:
         raise ShapeError(f"{what} has shape {t.shape}, expected ({n},)")
 
 
-def _kernel_shape(p: Conv2dParams, c_in: int, what: str) -> tuple:
-    """The [C_out, C_in, kh, kw] shape of `p`'s weights, checked against an
-    input of `c_in` channels, and against the bias."""
+def _kernel_shape(p: Conv2dParams, c_in: int, what: str, transposed: bool) -> tuple:
+    """The [C_l, C_d, kh, kw] shape of `p`'s weights (see :func:`_conv_plan`):
+    [C_out, C_in, kh, kw] for a convolution, [C_in, C_out, kh, kw] for a
+    `transposed` one, checked against an input of `c_in` channels, and
+    against the bias, whose length is C_out."""
+    layout = "[C_in,C_out,kh,kw]" if transposed else "[C_out,C_in,kh,kw]"
     if p.weights.ndim != 4:
-        raise ShapeError(f"{what} weights must be [C_out,C_in,kh,kw], got {p.weights.shape}")
-    if p.weights.shape[1] != c_in:
-        raise ShapeError(f"input has {c_in} channels, kernel expects {p.weights.shape[1]}")
-    _check_vector(p.bias, p.weights.shape[0], f"{what} bias")
+        raise ShapeError(f"{what} weights must be {layout}, got {p.weights.shape}")
+    c_in_axis = 0 if transposed else 1
+    if p.weights.shape[c_in_axis] != c_in:
+        raise ShapeError(f"input has {c_in} channels, kernel expects {p.weights.shape[c_in_axis]}")
+    _check_vector(p.bias, p.weights.shape[1 - c_in_axis], f"{what} bias")
     return p.weights.shape
 
 
@@ -131,17 +135,16 @@ def _scratch(slot: str, shape: tuple) -> np.ndarray:
     return bufs[slot][:n].reshape(shape)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple, alloc=None,
-            side_by_side: bool = False) -> np.ndarray:
-    """Columns [B, C*kh*kw, h*w] of the kh x kw windows of `x` [B,C,H,W]
+def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple, alloc=None) -> np.ndarray:
+    """Columns [C*kh*kw, B*h*w] of the kh x kw windows of `x` [B,C,H,W]
     whose top-left corners sit at row ``s*y`` and column ``s*x`` for (y, x)
-    on the `out_hw` lattice: im2col at stride `s`, the gather
-    that :func:`_scatter_taps` undoes. A read-only view of `x` when no copy
-    is needed (1x1 windows at stride 1), otherwise copied into a fresh
-    array, or into ``alloc("cols", shape)`` when forward passes
-    :func:`_scratch` as `alloc`. With `side_by_side`, every image's columns
-    are laid side by side in one fresh [C*kh*kw, B*h*w] array, so that one
-    matmul sums a product over the batch."""
+    on the `out_hw` lattice: im2col at stride `s`, the gather that
+    :func:`_scatter_taps` undoes. Every image's columns are laid side by
+    side, so one matmul sums a product over the batch, and
+    :func:`_per_image` views them image by image. A read-only view of `x`
+    when no copy is needed (one image, 1x1 windows at stride 1), otherwise
+    copied into a fresh array, or into ``alloc("cols", shape)`` when
+    forward passes :func:`_scratch` as `alloc`."""
     b, c, rows, width = x.shape
     h, w = out_hw
     if s * (h - 1) + kh > rows or s * (w - 1) + kw > width:
@@ -150,16 +153,17 @@ def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple, alloc=None,
     # [B,C,kh,kw,h,w], a read-only view
     windows = np.lib.stride_tricks.as_strided(x, (b, c, kh, kw, h, w),
                                               (sb, sc, sy, sx, s * sy, s * sx), writeable=False)
-    if side_by_side:
-        cols = np.empty((c * kh * kw, b * h * w))
-        np.copyto(cols.reshape(c, kh, kw, b, h, w), windows.transpose(1, 2, 3, 0, 4, 5))
-        return cols
-    if kh == kw == s == 1:
-        return windows.reshape(b, c, h * w)
-    shape = (b, c * kh * kw, h * w)
+    if b == kh == kw == s == 1:
+        return windows.reshape(c, h * w)
+    shape = (c * kh * kw, b * h * w)
     cols = np.empty(shape) if alloc is None else alloc("cols", shape)
-    np.copyto(cols.reshape(windows.shape), windows)
+    np.copyto(cols.reshape(c, kh, kw, b, h, w), windows.transpose(1, 2, 3, 0, 4, 5))
     return cols
+
+
+def _per_image(cols: np.ndarray, b: int) -> np.ndarray:
+    """The [B, K, n] view, image by image, of columns [K, B*n] laid side by side."""
+    return cols.reshape(cols.shape[0], b, -1).transpose(1, 0, 2)
 
 
 def _lattice(origin: int, s: int, n: int, size: int) -> tuple:
@@ -174,7 +178,7 @@ def _scatter_taps(taps: np.ndarray, s: int, out: np.ndarray, top: int, left: int
     """Add every tap of `taps` [B,C,kh,kw,h,w] onto `out` [B,C,H,W] in
     place, tap (i, j) of source (y, x) at row ``i + s*y - top`` and column
     ``j + s*x - left``, and drop the taps that land outside `out`: col2im
-    at stride `s`. This is the origin rule of both convolutions. Its
+    at stride `s`. This is the origin rule of :func:`_conv_plan`. Its
     adjoint, the gather, is :func:`_im2col` at stride `s` of the window
     ``_window(out, ..., -top, ..., -left, ...)``, which reads zero outside
     `out`."""
@@ -187,10 +191,10 @@ def _scatter_taps(taps: np.ndarray, s: int, out: np.ndarray, top: int, left: int
 
 
 def _blocks(b: int, ho: int, row_bytes: int) -> list:
-    """The (images, rows) slices that :func:`conv2d` works in, for a batch
-    of `b` images of `ho` output rows whose columns take `row_bytes` per
-    output row: groups of whole images when one image's columns fit
-    :data:`_BLOCK_BYTES`, otherwise runs of one image's output rows.
+    """The (images, rows) slices that a conv plan works in, for a batch of
+    `b` images of `ho` lattice rows whose columns take `row_bytes` per
+    lattice row: groups of whole images when one image's columns fit
+    :data:`_BLOCK_BYTES`, otherwise runs of one image's lattice rows.
     Batchnorm's backward forms its input gradient in the same chunks of
     its input rows."""
     if row_bytes * ho <= _BLOCK_BYTES:
@@ -283,69 +287,171 @@ def _window(data: np.ndarray, imgs: slice, y0: int, y1: int, x0: int, x1: int,
 # what its tape keeps.
 
 
-def _conv2d_plan(shape: tuple, p: Conv2dParams) -> tuple:
-    """The plan of :func:`conv2d` for an input of `shape` [B,C,H,W]."""
-    _require_int(p.stride, 1, "conv2d stride")
-    _require_int(p.padding, 0, "conv2d padding")
-    b, c_in, h, w = shape
-    c_out, _, kh, kw = _kernel_shape(p, c_in, "conv2d")
-    s, pad = p.stride, p.padding
-    ho = conv_output_size(h, kh, s, pad)
-    wo = conv_output_size(w, kw, s, pad)
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h}x{w} (pad {pad})")
-    w2 = p.weights.data.reshape(c_out, c_in * kh * kw)
-    blocks = _blocks(b, ho, c_in * kh * kw * wo * 8)    # float64 columns
+def _conv_plan(shape: tuple, p: Conv2dParams, transposed: bool) -> tuple:
+    """The plan of :func:`conv2d`, or with `transposed` of
+    :func:`unpool_conv2d`, for an input of `shape` [B,C,H,W].
 
-    def window(data, imgs, rows, relu=None, alloc=None, mask=None):
-        """The padded input that output `rows` of images `imgs` read."""
-        return _window(data, imgs, s * rows.start - pad, s * (rows.stop - 1) + kh - pad,
-                       -pad, w + pad, relu, alloc, mask)
+    Both ops are one convolution between a dense array [B,C_d,H_d,W_d] and
+    a lattice array [B,C_l,h,w] at stride s: lattice point (y, x) is the
+    weights [C_l, C_d, kh, kw] times the kh x kw window of the dense array
+    whose top-left corner sits at row ``s*y - top`` and column ``s*x -
+    left``, read as zero outside it. The plan has three halves, each run
+    over blocks of lattice rows (:func:`_blocks`) with the weights as one
+    matrix ``W2`` [C_l, C_d*kh*kw]:
+
+    - the gather: a window's columns (:func:`_window`, :func:`_im2col`)
+      times ``W2``, matmul'd into the lattice rows of the block;
+    - the scatter: ``W2ᵀ`` times the block's lattice rows, whose taps
+      :func:`_scatter_taps` adds onto the dense array;
+    - the weight gradient: the block's lattice rows times its columns.
+
+    :func:`conv2d` reads a dense input at its stride, with ``top = left =
+    padding``: its forward is the gather, and its backward the scatter of
+    the output gradient plus the weight gradient. :func:`unpool_conv2d`
+    reads its input as the lattice, at the unpool factor `p.stride`, with
+    ``top = kh - 1 - padding``: its forward is the scatter, and its
+    backward the gather of the output gradient plus the weight gradient.
+    """
+    what = "unpool_conv2d" if transposed else "conv2d"
+    _require_int(p.stride, 1, f"{what} stride")
+    _require_int(p.padding, 0, f"{what} padding")
+    b, c_in, h, w = shape
+    c_lat, c_dense, kh, kw = _kernel_shape(p, c_in, what, transposed)
+    s, pad = p.stride, p.padding
+    # the convolution's input and stride: the unpooled input at stride 1
+    # for unpool_conv2d
+    in_h, in_w, step = (s * h, s * w, 1) if transposed else (h, w, s)
+    ho = conv_output_size(in_h, kh, step, pad)
+    wo = conv_output_size(in_w, kw, step, pad)
+    if ho < 1 or wo < 1:
+        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {in_h}x{in_w} (pad {pad})")
+    if transposed:
+        dense, lattice, top, left = (b, c_dense, ho, wo), shape, kh - 1 - pad, kw - 1 - pad
+    else:
+        dense, lattice, top, left = shape, (b, c_lat, ho, wo), pad, pad
+    hl, wl = lattice[2:]
+    k = c_dense * kh * kw
+    w2 = p.weights.data.reshape(c_lat, k)
+    # float64 bytes per lattice row of what a block holds in the workspace:
+    # its columns, and when it scatters forward also its BN-ReLU rows and
+    # the s rows of canvas that each of its rows reaches
+    blocks = _blocks(b, hl, (k + (c_lat + s * s * c_dense if transposed else 0)) * wl * 8)
+
+    def columns(data, imgs, rows, relu=None, alloc=None, mask=None):
+        """The columns of the dense window that lattice `rows` of images
+        `imgs` read; `relu`, `alloc` and `mask` as :func:`_window` takes
+        them."""
+        window = _window(data, imgs, s * rows.start - top, s * (rows.stop - 1) + kh - top,
+                         -left, s * (wl - 1) + kw - left, relu, alloc, mask)
+        return _im2col(window, kh, kw, s, (rows.stop - rows.start, wl), alloc)
+
+    def lattice_rows(data, imgs, rows, relu=None, alloc=None):
+        """Lattice `rows` of images `imgs` as [n, C_l, rows*wl], through
+        :func:`_bn_relu` with `relu`, into ``alloc("rows", ...)`` if given."""
+        part = data[imgs, :, rows]
+        if relu is not None:
+            part = _bn_relu(part, *relu, out=None if alloc is None else alloc("rows", part.shape))
+        return part.reshape(len(part), c_lat, -1)
+
+    def gather(cols, out3, imgs, rows):
+        """Write ``W2`` times the columns `cols` into lattice `rows` of
+        images `imgs` of `out3` [B, C_l, hl*wl], and return that slice."""
+        part = out3[imgs, :, rows.start * wl:rows.stop * wl]
+        return np.matmul(w2, _per_image(cols, len(part)), out=part)
+
+    def scatter(lat, target, top_row, out=None):
+        """Add the taps of the lattice rows `lat` [n, C_l, rows*wl], ``W2ᵀ``
+        times each image's rows, formed in `out` when given, onto `target`
+        [n, C_d, ., W_d]: tap i of the block's lattice row y lands on
+        target row ``i + s*y - top_row``."""
+        taps = np.matmul(w2.T, lat, out=out)
+        _scatter_taps(taps.reshape(len(lat), c_dense, kh, kw, -1, wl), s, target, top_row, left)
+
+    def weight_grad(lat, cols):
+        """The block's share of the weight gradient [C_l, C_d*kh*kw]: its
+        lattice rows `lat` [n, C_l, m] times its columns. Several images'
+        products are formed and summed when together they take no more than
+        the columns (C_l <= m); otherwise the images sum inside one matmul,
+        their rows laid side by side, so that no second weight-sized array
+        is built."""
+        n, _, m = lat.shape
+        if n > 1 and c_lat <= m:
+            return np.matmul(lat, _per_image(cols, n).transpose(0, 2, 1)).sum(axis=0)
+        return np.matmul(lat.transpose(1, 0, 2).reshape(c_lat, -1), cols.T)
 
     def forward(data, relu=None):
-        out = np.empty((b, c_out, ho, wo))
-        out3 = out.reshape(b, c_out, ho * wo)
+        if not transposed:
+            out = np.empty(lattice)
+            out3 = out.reshape(b, c_lat, hl * wl)
+            for imgs, rows in blocks:
+                gather(columns(data, imgs, rows, relu, _scratch), out3, imgs, rows)
+            if p.bias is not None:
+                _add_bias(out, p.bias.data)
+            return out
+        out = None
+        bias = 0.0 if p.bias is None else p.bias.data[:, None, None]
         for imgs, rows in blocks:
-            padded = window(data, imgs, rows, relu, _scratch)
-            cols = _im2col(padded, kh, kw, s, (rows.stop - rows.start, wo), _scratch)
-            np.matmul(w2, cols, out=out3[imgs, :, rows.start * wo:rows.stop * wo])
-            del padded, cols    # before the next block builds its own
-        if p.bias is not None:
-            _add_bias(out, p.bias.data)
+            if rows.start == 0:
+                done = 0    # output rows of these images written so far
+            lat = lattice_rows(data, imgs, rows, relu, _scratch)
+            # the output rows the block writes, on a canvas: from the first
+            # row its taps reach, or the first one not written yet, to the
+            # last row they reach, or the last output row
+            y0 = min(done, max(0, s * rows.start - top))
+            y1 = dense[2] if rows.stop == hl else min(dense[2], s * (rows.stop - 1) + kh - top)
+            canvas = _scratch("canvas", (len(lat), c_dense, y1 - y0, dense[3]))
+            canvas[:, :, :done - y0] = 0.0
+            canvas[:, :, done - y0:] = bias
+            scatter(lat, canvas, top - s * rows.start + y0,
+                    _scratch("cols", (len(lat), k, lat.shape[2])))
+            if out is None:
+                # made after the first scatter, whose strided adds take numpy
+                # iterator buffers, so that a one-block call peaks at its output
+                out = np.empty(dense)
+            # rows the block before wrote take a sum, the rest a plain copy
+            out[imgs, :, y0:done] += canvas[:, :, :done - y0]
+            np.copyto(out[imgs, :, done:y1], canvas[:, :, done - y0:])
+            done = y1
+            del lat, canvas     # before the next block builds its own
         return out
 
     def backward(og, data, track_x, relu=None):
-        og3 = og.reshape(b, c_out, ho * wo)
         d_w = None
-        d_x = np.zeros(shape) if track_x else None
-        # the ReLU's "> 0" as bools, 1/8 of its output, which each block
+        d_x = None
+        if track_x:
+            # a gather writes every input row once; a scatter adds into them
+            d_x = np.empty(shape) if transposed else np.zeros(shape)
+        # conv2d's ReLU "> 0" as bools, 1/8 of its output, which each block
         # rebuilds only for the rows it reads; rows no block reads keep a
         # zero gradient whatever their mask
-        mask = np.zeros(shape, dtype=bool) if track_x and relu is not None else None
+        mask = np.zeros(shape, dtype=bool) if track_x and relu is not None and not transposed else None
         for imgs, rows in blocks:
-            n = rows.stop - rows.start
-            og_block = og3[imgs, :, rows.start * wo:rows.stop * wo]
-            cols = _im2col(window(data, imgs, rows, relu, mask=mask), kh, kw, s, (n, wo))
-            # batched matmul, not einsum, which does not reach BLAS here
-            part = np.matmul(og_block, cols.transpose(0, 2, 1))
-            # one image needs no sum, which would copy it; several are summed
-            # at once, so d_w never keeps a whole [n, C_out, K] product alive
-            part = part.sum(axis=0) if len(part) > 1 else part[0]
+            if transposed:
+                cols = columns(og, imgs, rows)
+                lat = lattice_rows(data, imgs, rows, relu)
+            else:
+                cols = columns(data, imgs, rows, relu, mask=mask)
+                lat = lattice_rows(og, imgs, rows)
+            part = weight_grad(lat, cols)
             if d_w is None:
                 d_w = part
             else:
                 d_w += part
-            if track_x:
-                # for 1x1 kernels at stride 1 the columns are a read-only view of the input
-                d_cols = np.matmul(w2.T, og_block, out=cols if cols.flags.writeable else None)
-                _scatter_taps(d_cols.reshape(-1, c_in, kh, kw, n, wo), s, d_x[imgs],
-                              pad - s * rows.start, pad)
-                del d_cols
-            del cols, part      # before the next block builds its own
+            if track_x and transposed:
+                d_lat = gather(cols, d_x.reshape(b, c_lat, hl * wl), imgs, rows)
+                if relu is not None:
+                    d_lat *= lat > 0.0      # relu's backward as T.relu computes it
+            elif track_x:
+                # the taps go into the columns' buffer, unless the columns
+                # are a read-only view of the input (1x1 kernels at stride 1)
+                n = len(lat)
+                scatter(lat, d_x[imgs], top - s * rows.start,
+                        cols.reshape(n, k, -1) if cols.flags.writeable else None)
+            del cols, lat, part     # before the next block builds its own
         if mask is not None:
             # relu's backward as T.relu computes it, in place
             np.multiply(d_x, mask, out=d_x)
-        d_b = og3.sum(axis=(0, 2)) if p.bias is not None else None
+        d_b = og.sum(axis=(0, 2, 3)) if p.bias is not None else None
         return d_x, d_w.reshape(p.weights.shape), d_b
 
     return forward, backward
@@ -364,7 +470,8 @@ def _record_conv(x: Tensor, p: Conv2dParams, plan: tuple) -> Tensor:
 
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """Strided cross-correlation with symmetric zero padding.
+    """Strided cross-correlation with symmetric zero padding; `p.weights`
+    are [C_out, C_in, kh, kw].
 
     Works in blocks whose im2col columns take at most :data:`_BLOCK_BYTES`:
     groups of whole images when one image's columns fit, otherwise runs of
@@ -379,12 +486,12 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     which lives anyway (the op before keeps it, or the caller holds it), so
     the op adds no activation of its own. Backward pads each block's rows
     again and rebuilds its columns for the weight gradient, summed over
-    blocks, then reuses that buffer for the input gradient's columns,
-    whose taps add straight into the input gradient, those on the padding
-    dropped. An untracked input gets no gradient.
+    blocks, then reuses that buffer for the input gradient's taps, which
+    add straight into the input gradient, those on the padding dropped. An
+    untracked input gets no gradient.
     """
     data = _check_4d(x, "conv2d")
-    return _record_conv(x, p, _conv2d_plan(data.shape, p))
+    return _record_conv(x, p, _conv_plan(data.shape, p, False))
 
 
 def unpool(x: Tensor, k: int) -> Tensor:
@@ -401,90 +508,24 @@ def unpool(x: Tensor, k: int) -> Tensor:
     return record(out, [x], bwd)
 
 
-def _flipped(weights: np.ndarray) -> np.ndarray:
-    """The [C_out*kh*kw, C_in] copy ``a[(o,i,j), c] = weights[o, c, kh-1-i, kw-1-j]``
-    of `weights` [C_out, C_in, kh, kw]."""
-    c_out, c_in, kh, kw = weights.shape
-    return weights[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(c_out * kh * kw, c_in)
+def unpool_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
+    """The stride-1 convolution of ``unpool(x, p.stride)``, without the
+    unpooled zeros: a transposed convolution at stride `p.stride`, whose
+    weights `p.weights` [C_in, C_out, kh, kw] are stored as they scatter.
+    With ``w[o, c, i, j] = p.weights[c, o, kh-1-i, kw-1-j]`` it equals
+    ``conv2d(unpool(x, p.stride), Conv2dParams(w, p.bias, 1, p.padding))``,
+    which stays as its reference; only the order of the float64 sums
+    differs.
 
-
-def _unpool_conv2d_plan(shape: tuple, p: Conv2dParams, k: int) -> tuple:
-    """The plan of :func:`unpool_conv2d` for an input of `shape` [B,C,H,W]."""
-    _require_int(k, 1, "unpool factor")
-    if isinstance(p.stride, bool) or p.stride != 1:
-        raise ArgumentError(f"unpool_conv2d needs conv stride 1, got {p.stride!r}")
-    _require_int(p.padding, 0, "unpool_conv2d padding")
-    b, c_in, h, w = shape
-    c_out, _, kh, kw = _kernel_shape(p, c_in, "unpool_conv2d")
-    pad = p.padding
-    ho = conv_output_size(h * k, kh, 1, pad)
-    wo = conv_output_size(w * k, kw, 1, pad)
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h * k}x{w * k} (pad {pad})")
-
-    # flipped tap (i, j) of input (y, x) lands at output row i + k*y - top
-    # and column j + k*x - left
-    top, left = kh - 1 - pad, kw - 1 - pad
-    # the plan keeps the weights array; each forward flips one kernel row
-    # at a time into scratch, and each backward flips them all again
-    wd = p.weights.data
-
-    def forward(data, relu=None):
-        if relu is not None:
-            data = _bn_relu(data, *relu, out=_scratch("rows", shape))
-        x3 = data.reshape(b, c_in, h * w)
-        canvas = _scratch("padded", (b, c_out, ho, wo))
-        canvas.fill(0.0)
-        # one kernel row of taps at a time, so neither all the taps nor all
-        # the flipped weights are built at once
-        w_i = _scratch("weights", (c_out, kw, c_in))
-        taps = _scratch("cols", (b, c_out * kw, h * w))
-        for i in range(kh):
-            # rows (o, j) of _flipped(wd)'s kernel row i
-            np.copyto(w_i, wd[:, :, kh - 1 - i, ::-1].transpose(0, 2, 1))
-            np.matmul(w_i.reshape(c_out * kw, c_in), x3, out=taps)
-            _scatter_taps(taps.reshape(b, c_out, 1, kw, h, w), k, canvas, top - i, left)
-        out = canvas.copy()
-        if p.bias is not None:
-            _add_bias(out, p.bias.data)
-        return out
-
-    def backward(og, data, track_x, relu=None):
-        if relu is not None:
-            # the weight gradient reads the whole input, so it is rebuilt whole
-            data = _bn_relu(data, *relu)
-        window = _window(og, slice(None), -top, k * (h - 1) + kh - top,
-                         -left, k * (w - 1) + kw - left)
-        # [C_out*kh*kw, B*h*w]: the weight gradient is one matmul over the
-        # batch, so no second [C_out*kh*kw, C_in] array is built to sum it
-        cols = _im2col(window, kh, kw, k, (h, w), side_by_side=True)
-        d_x = None
-        if track_x:
-            per_image = cols.reshape(-1, b, h * w).transpose(1, 0, 2)
-            d_x = np.matmul(_flipped(wd).T, per_image).reshape(shape)
-            if relu is not None:
-                d_x *= data > 0.0       # relu's backward as T.relu computes it
-        x2 = data.reshape(b, c_in, h * w).transpose(1, 0, 2).reshape(c_in, b * h * w)
-        d_a = np.matmul(cols, x2.T)
-        d_w = d_a.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
-        d_b = og.sum(axis=(0, 2, 3)) if p.bias is not None else None
-        return d_x, d_w, d_b
-
-    return forward, backward
-
-
-def unpool_conv2d(x: Tensor, p: Conv2dParams, k: int) -> Tensor:
-    """``conv2d(unpool(x, k), p)`` at stride 1, without the unpooled zeros.
-
-    A convolution over a zero-inserted input is a transposed convolution:
-    each input value, times the flipped kernel, is added onto the output at
-    stride `k`. Forward is, per kernel row, one matmul at input resolution
-    and a tap scatter; backward gathers the output gradient's windows at
-    stride `k`. Only the order of the float64 sums differs from the
-    composition.
+    Each input value, times its weights, is added onto the output at
+    stride `p.stride`. Forward works over blocks of input rows, each one
+    matmul at input resolution whose taps land on a canvas in the thread's
+    workspace, added into the output; backward gathers the output
+    gradient's windows at stride `p.stride` for both the input and the
+    weight gradient (:func:`_conv_plan`).
     """
     data = _check_4d(x, "unpool_conv2d")
-    return _record_conv(x, p, _unpool_conv2d_plan(data.shape, p, k))
+    return _record_conv(x, p, _conv_plan(data.shape, p, True))
 
 
 def _bn_train_grads(og, xhat, gamma, istd):
@@ -603,17 +644,18 @@ def bn_relu_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dParams)
     statistics once, in forward.
     """
     data = _check_4d(x, "bn_relu_conv2d")
-    return _record_bn_relu_conv(x, norm, mode, p, _conv2d_plan(data.shape, p))
+    return _record_bn_relu_conv(x, norm, mode, p, _conv_plan(data.shape, p, False))
 
 
-def bn_relu_unpool_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dParams,
-                          k: int) -> Tensor:
-    """``unpool_conv2d(relu(batchnorm(x, norm, mode)), p, k)`` as one op,
-    byte for byte; the tape keeps what :func:`bn_relu_conv2d`'s keeps.
-    Forward builds the ReLU output whole for its per-row matmuls, and
-    backward for its weight gradient, then drops it."""
+def bn_relu_unpool_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dParams) -> Tensor:
+    """``unpool_conv2d(relu(batchnorm(x, norm, mode)), p)`` as one op, byte
+    for byte; the tape keeps what :func:`bn_relu_conv2d`'s keeps. The ReLU
+    output never lives whole: forward applies batchnorm's scale and shift
+    and the ReLU to each block of input rows before its matmul, and
+    backward rebuilds them per block for the weight gradient and the
+    ReLU's mask."""
     data = _check_4d(x, "bn_relu_unpool_conv2d")
-    return _record_bn_relu_conv(x, norm, mode, p, _unpool_conv2d_plan(data.shape, p, k))
+    return _record_bn_relu_conv(x, norm, mode, p, _conv_plan(data.shape, p, True))
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:

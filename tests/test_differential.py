@@ -185,16 +185,18 @@ def apply(op, i, ins, leaves):
         return T.reshape(x, out_shape(op, x.shape))
     if op.kind == "linear":
         return nn.linear(x, nn.LinearParams(leaves[f"{i}.w"], leaves.get(f"{i}.b")))
+    # an unpool conv's stride is its unpool factor
+    stride = 2 if op.kind in UNPOOLS else op.stride
     if op.kind in ("conv2d", "unpool_conv2d"):
-        p = nn.Conv2dParams(leaves[f"{i}.w"], leaves.get(f"{i}.b"), op.stride, op.kernel // 2)
-        return nn.conv2d(x, p) if op.kind == "conv2d" else nn.unpool_conv2d(x, p, 2)
+        p = nn.Conv2dParams(leaves[f"{i}.w"], leaves.get(f"{i}.b"), stride, op.kernel // 2)
+        return nn.conv2d(x, p) if op.kind == "conv2d" else nn.unpool_conv2d(x, p)
     if op.kind in ("bn_relu_conv2d", "bn_relu_unpool_conv2d"):
         norm = nn.BatchNormParams(leaves[f"{i}.gamma"], leaves[f"{i}.beta"],
                                   T.Tensor(op.fixed["mean"].copy()), T.Tensor(op.fixed["var"].copy()))
-        p = nn.Conv2dParams(leaves[f"{i}.w"], None, 1, op.kernel // 2)
+        p = nn.Conv2dParams(leaves[f"{i}.w"], None, stride, op.kernel // 2)
         if op.kind == "bn_relu_conv2d":
             return nn.bn_relu_conv2d(x, norm, op.mode, p)
-        return nn.bn_relu_unpool_conv2d(x, norm, op.mode, p, 2)
+        return nn.bn_relu_unpool_conv2d(x, norm, op.mode, p)
     params = at.constrain_attention(leaves[f"{i}.raw"])
     return (at.st_inverse if op.inverse else at.st)(x, params, 6, 6)
 

@@ -19,6 +19,13 @@ def conv_params(w, b=None, stride=1, padding=0, grad=True):
     )
 
 
+def unpool_layout(w):
+    """Weights [C_out, C_in, kh, kw] of a conv of the unpooled input in
+    ``unpool_conv2d``'s layout [C_in, C_out, kh, kw], kernel flipped, and
+    back: the map is its own inverse."""
+    return w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].copy()
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = T.Tensor(np.random.default_rng(0).normal(size=(1, 3, 5, 5)))
@@ -310,7 +317,8 @@ class TestOriginRule:
             def gather(a):
                 window = nn._window(a, slice(None), -top, s * (h - 1) + kh - top,
                                     -left, s * (w - 1) + kw - left)
-                return nn._im2col(window, kh, kw, s, (h, w)).reshape(taps.shape)
+                cols = nn._im2col(window, kh, kw, s, (h, w))
+                return cols.reshape(3, kh, kw, 2, h, w).transpose(3, 0, 1, 2, 4, 5)
 
             lhs, rhs = (out * y).sum(), (taps * gather(y)).sum()
             scale = (np.abs(taps) * gather(np.abs(y))).sum()
@@ -368,10 +376,10 @@ class TestUnpool:
 
 class TestUnpoolConv2d:
     @staticmethod
-    def grads(op, x_data, w_data, b_data, pad):
+    def grads(op, x_data, w_data, b_data, pad, stride=1):
         """Output and gradients of sum_all(sigmoid(op(x, p))), a loss separable per image."""
         x = T.Tensor(x_data, requires_grad=True)
-        p = conv_params(w_data, b_data, padding=pad)
+        p = conv_params(w_data, b_data, stride, pad)
         with T.Graph():
             out = op(x, p)
             T.backward(sum_all(T.sigmoid(out)))
@@ -379,10 +387,11 @@ class TestUnpoolConv2d:
 
     @staticmethod
     def data(kernel, seed, b=3):
-        """Input, weights and bias; `kernel` is a size or a (kh, kw) pair."""
+        """Input, weights in ``unpool_conv2d``'s layout and bias; `kernel` is
+        a size or a (kh, kw) pair."""
         kh, kw = kernel if isinstance(kernel, tuple) else (kernel, kernel)
         rng = np.random.default_rng(seed)
-        return (rng.normal(size=(b, 2, 4, 5)), rng.normal(size=(3, 2, kh, kw)) * 0.5,
+        return (rng.normal(size=(b, 2, 4, 5)), unpool_layout(rng.normal(size=(3, 2, kh, kw)) * 0.5),
                 rng.normal(size=(3,)))
 
     @pytest.mark.parametrize("bias", [True, False])
@@ -397,9 +406,11 @@ class TestUnpoolConv2d:
     def test_matches_unpool_then_conv2d(self, k, kernel, pad, bias):
         x_data, w_data, b_data = self.data(kernel, 20)
         b_data = b_data if bias else None
-        fused = self.grads(lambda x, p: nn.unpool_conv2d(x, p, k), x_data, w_data, b_data, pad)
-        composed = self.grads(lambda x, p: nn.conv2d(nn.unpool(x, k), p), x_data, w_data, b_data, pad)
+        fused = self.grads(nn.unpool_conv2d, x_data, w_data, b_data, pad, stride=k)
+        composed = self.grads(lambda x, p: nn.conv2d(nn.unpool(x, k), p), x_data,
+                              unpool_layout(w_data), b_data, pad)
         assert fused[0].shape == composed[0].shape
+        fused = fused[:2] + (unpool_layout(fused[2]),) + fused[3:]
         for got, want in zip(fused, composed):
             if want is not None:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -407,12 +418,11 @@ class TestUnpoolConv2d:
     @pytest.mark.parametrize("k, kernel, pad", [(2, 5, 2), (3, 3, 0)])
     def test_gradients_match_finite_differences(self, k, kernel, pad):
         x_data, w_data, b_data = self.data(kernel, 21)
-        _, d_x, d_w, d_b = self.grads(lambda x, p: nn.unpool_conv2d(x, p, k),
-                                      x_data, w_data, b_data, pad)
+        _, d_x, d_w, d_b = self.grads(nn.unpool_conv2d, x_data, w_data, b_data, pad, stride=k)
 
         def loss(xd, wd, bd):
-            p = conv_params(wd, bd, padding=pad, grad=False)
-            return sum_all(T.sigmoid(nn.unpool_conv2d(T.Tensor(xd), p, k))).item()
+            p = conv_params(wd, bd, k, pad, grad=False)
+            return sum_all(T.sigmoid(nn.unpool_conv2d(T.Tensor(xd), p))).item()
 
         check_grad(lambda xd: loss(xd, w_data, b_data), x_data, d_x, n_coords=30, tol=1e-4)
         check_grad(lambda wd: loss(x_data, wd, b_data), w_data, d_w, n_coords=20, tol=1e-4)
@@ -420,37 +430,38 @@ class TestUnpoolConv2d:
 
     def test_batch_gradient_is_sum_of_single_image_gradients(self):
         x_data, w_data, b_data = self.data(5, 22)
-        op = lambda x, p: nn.unpool_conv2d(x, p, 2)  # noqa: E731
-        _, d_x, d_w, d_b = self.grads(op, x_data, w_data, b_data, 2)
-        singles = [self.grads(op, x_data[i:i + 1], w_data, b_data, 2) for i in range(3)]
+        op = nn.unpool_conv2d
+        _, d_x, d_w, d_b = self.grads(op, x_data, w_data, b_data, 2, stride=2)
+        singles = [self.grads(op, x_data[i:i + 1], w_data, b_data, 2, stride=2) for i in range(3)]
         np.testing.assert_allclose(d_w, sum(g[2] for g in singles), rtol=1e-12)
         np.testing.assert_allclose(d_b, sum(g[3] for g in singles), rtol=1e-12)
         np.testing.assert_allclose(d_x, np.concatenate([g[1] for g in singles]), rtol=1e-12)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            nn.unpool_conv2d(T.zeros([1, 2, 4, 4]), conv_params(np.zeros((1, 3, 3, 3))), 2)
+            nn.unpool_conv2d(T.zeros([1, 2, 4, 4]), conv_params(np.zeros((3, 1, 3, 3)), stride=2))
 
     def test_tape_keeps_no_copy_of_the_weights(self):
         rng = np.random.default_rng(23)
         x = T.Tensor(rng.normal(size=(2, 16, 4, 4)), requires_grad=True)
-        p = conv_params(rng.normal(size=(16, 16, 5, 5)), rng.normal(size=(16,)), padding=2)
+        p = conv_params(unpool_layout(rng.normal(size=(16, 16, 5, 5))), rng.normal(size=(16,)),
+                        2, 2)
         with T.Graph():
-            out, kept, _ = traced_bytes(lambda: nn.unpool_conv2d(x, p, 2))
+            out, kept, _ = traced_bytes(lambda: nn.unpool_conv2d(x, p))
         flipped = p.weights.data.nbytes    # [16*5*5, 16] float64
         assert kept <= out.data.nbytes + SLACK < out.data.nbytes + flipped
 
     def test_backward_builds_the_weight_gradient_as_one_array(self):
-        # the first paper decoder block at B=2, whose [C_out*kh*kw, C_in]
+        # the first paper decoder block at B=2, whose [C_in, C_out*kh*kw]
         # weight gradient takes 6.25 MiB, on an untracked input, so that the
         # closure builds no input gradient
         b, c_in, c_out, side, kernel = 2, 256, 128, 7, 5
         rng = np.random.default_rng(24)
         x = T.Tensor(rng.normal(size=(b, c_in, side, side)))
-        p = conv_params(rng.normal(size=(c_out, c_in, kernel, kernel)), rng.normal(size=(c_out,)),
-                        padding=2)
+        p = conv_params(unpool_layout(rng.normal(size=(c_out, c_in, kernel, kernel))),
+                        rng.normal(size=(c_out,)), 2, 2)
         with T.Graph() as g:
-            out = nn.unpool_conv2d(x, p, 2)
+            out = nn.unpool_conv2d(x, p)
         _, closure = g._nodes[out._node[1]]
         og = rng.normal(size=out.shape)
         (d_x, d_w, _), _, peak = traced_bytes(lambda: closure(og))
@@ -469,9 +480,9 @@ def _conv_call(stride=1, padding=0):
                                                                   stride, padding))
 
 
-def _unpool_conv_call(k=2, stride=1, padding=0):
+def _unpool_conv_call(stride=2, padding=0):
     return lambda: nn.unpool_conv2d(T.zeros([1, 1, 4, 4]),
-                                    conv_params(np.zeros((1, 1, 3, 3)), None, stride, padding), k)
+                                    conv_params(np.zeros((1, 1, 3, 3)), None, stride, padding))
 
 
 def _bn_call(**lengths):
@@ -483,16 +494,17 @@ def _bn_call(**lengths):
     return nn.batchnorm(T.zeros([2, 3, 2, 2]), p, "infer")
 
 
-def _bn_relu_conv_call(op, mode="infer", b=2, gamma=3, stride=1, k=2, tensor=True):
+def _bn_relu_conv_call(op, mode="infer", b=2, gamma=3, stride=1, tensor=True):
     """The fused op `op` ("conv2d" or "unpool_conv2d") over a [b,3,4,4]
-    input and a 3x3 kernel, with gamma's length `gamma`; the input is an
-    ndarray unless `tensor`."""
+    input and a 3x3 kernel of 2 output channels, with gamma's length
+    `gamma`; the input is an ndarray unless `tensor`."""
     norm = nn.BatchNormParams(T.full([gamma], 1.0), T.zeros([3]), T.zeros([3]), T.full([3], 1.0))
-    p = conv_params(np.zeros((2, 3, 3, 3)), None, stride, 1)
     x = T.zeros([b, 3, 4, 4]) if tensor else np.zeros((b, 3, 4, 4))
     if op == "conv2d":
+        p = conv_params(np.zeros((2, 3, 3, 3)), None, stride, 1)
         return lambda: nn.bn_relu_conv2d(x, norm, mode, p)
-    return lambda: nn.bn_relu_unpool_conv2d(x, norm, mode, p, k)
+    p = conv_params(np.zeros((3, 2, 3, 3)), None, stride, 1)
+    return lambda: nn.bn_relu_unpool_conv2d(x, norm, mode, p)
 
 
 BAD_ARGUMENTS = {
@@ -507,17 +519,15 @@ BAD_ARGUMENTS = {
     "unpool.factor1.5": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), 1.5), ArgumentError),
     "unpool.factor-1": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), -1), ArgumentError),
     "unpool.factorTrue": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), True), ArgumentError),
+    # the stride of unpool_conv2d is its unpool factor
     "unpool_conv2d.stride0": (_unpool_conv_call(stride=0), ArgumentError),
     "unpool_conv2d.stride-1": (_unpool_conv_call(stride=-1), ArgumentError),
-    "unpool_conv2d.stride2": (_unpool_conv_call(stride=2), ArgumentError),
+    "unpool_conv2d.stride1.5": (_unpool_conv_call(stride=1.5), ArgumentError),
     "unpool_conv2d.padding-1": (_unpool_conv_call(padding=-1), ArgumentError),
-    "unpool_conv2d.factor0": (_unpool_conv_call(k=0), ArgumentError),
-    "unpool_conv2d.factor1.5": (_unpool_conv_call(k=1.5), ArgumentError),
-    "unpool_conv2d.factorTrue": (_unpool_conv_call(k=True), ArgumentError),
     "unpool_conv2d.strideTrue": (_unpool_conv_call(stride=True), ArgumentError),
     "unpool_conv2d.paddingTrue": (_unpool_conv_call(padding=True), ArgumentError),
     "unpool_conv2d.weights3d": (lambda: nn.unpool_conv2d(T.zeros([1, 1, 4, 4]),
-                                                         conv_params(np.zeros((1, 3, 3))), 2),
+                                                         conv_params(np.zeros((1, 3, 3)))),
                                 ShapeError),
     "linear.weights1d": (lambda: nn.linear(T.zeros([1, 2]), nn.LinearParams(T.zeros([2]), None)),
                          ShapeError),
@@ -527,8 +537,7 @@ BAD_ARGUMENTS = {
                                        conv_params(np.zeros((4, 1, 3, 3)), np.zeros(2))),
                      ShapeError),
     "unpool_conv2d.bias2": (lambda: nn.unpool_conv2d(T.zeros([1, 1, 4, 4]),
-                                                     conv_params(np.zeros((4, 1, 3, 3)), np.zeros(2)),
-                                                     2),
+                                                     conv_params(np.zeros((1, 4, 3, 3)), np.zeros(2))),
                             ShapeError),
     "linear.bias5": (lambda: nn.linear(T.zeros([1, 2]), nn.LinearParams(T.zeros([4, 2]),
                                                                           T.zeros([5]))),
@@ -542,13 +551,13 @@ BAD_ARGUMENTS = {
                                    ("batch1", {"mode": "train", "b": 1}, BatchError),
                                    ("gamma2", {"gamma": 2}, ShapeError),
                                    ("strideTrue", {"stride": True}, ArgumentError)]},
-    "bn_relu_unpool_conv2d.factor0": (_bn_relu_conv_call("unpool_conv2d", k=0), ArgumentError),
+    "bn_relu_unpool_conv2d.stride0": (_bn_relu_conv_call("unpool_conv2d", stride=0), ArgumentError),
     # an input that is an ndarray, not a Tensor
     "conv2d.ndarray": (lambda: nn.conv2d(np.zeros((1, 1, 4, 4)), conv_params(np.zeros((1, 1, 3, 3)))),
                        ArgumentError),
     "unpool.ndarray": (lambda: nn.unpool(np.zeros((1, 1, 2, 2)), 2), ArgumentError),
     "unpool_conv2d.ndarray": (lambda: nn.unpool_conv2d(np.zeros((1, 1, 4, 4)),
-                                                       conv_params(np.zeros((1, 1, 3, 3))), 2),
+                                                       conv_params(np.zeros((1, 1, 3, 3)))),
                               ArgumentError),
     "batchnorm.ndarray": (lambda: nn.batchnorm(np.zeros((2, 1, 2, 2)), nn.BatchNormParams(
         T.full([1], 1.0), T.zeros([1]), T.zeros([1]), T.full([1], 1.0)), "infer"), ArgumentError),
@@ -750,25 +759,32 @@ class TestBatchNormReference:
         check_grad(loss_from, x_data, x.grad, n_coords=15, tol=1e-4)
 
 
+def by2(p):
+    """`p` at stride 2: the unpool factor of ``unpool_conv2d`` whose
+    composition is an unpool by 2, then `p`'s stride-1 conv."""
+    return nn.Conv2dParams(p.weights, p.bias, 2, p.padding)
+
+
 class TestBnReluConv:
     """The fused pre-activation unit against its composition
     ``conv(relu(batchnorm(x)))``, byte for byte."""
 
     FUSED = {"conv2d": lambda x, norm, mode, p: nn.bn_relu_conv2d(x, norm, mode, p),
-             "unpool_conv2d": lambda x, norm, mode, p: nn.bn_relu_unpool_conv2d(x, norm, mode, p, 2)}
+             "unpool_conv2d": lambda x, norm, mode, p: nn.bn_relu_unpool_conv2d(x, norm, mode, by2(p))}
     COMPOSED = {"conv2d": lambda x, norm, mode, p: nn.conv2d(T.relu(nn.batchnorm(x, norm, mode)), p),
                 "unpool_conv2d": lambda x, norm, mode, p: nn.unpool_conv2d(
-                    T.relu(nn.batchnorm(x, norm, mode)), p, 2)}
+                    T.relu(nn.batchnorm(x, norm, mode)), by2(p))}
 
     @staticmethod
-    def case(k, seed=60):
+    def case(k, seed=60, op="conv2d"):
         """Input [3,4,7,6], batchnorm statistics of 4 channels, and 3 x 4 x k x k
-        weights and bias; beta straddles zero, so the ReLU cuts."""
+        weights, in `op`'s layout, and bias; beta straddles zero, so the ReLU cuts."""
         rng = np.random.default_rng(seed)
         x = rng.normal(1.0, 2.0, size=(3, 4, 7, 6))
         stats = dict(gamma=rng.uniform(0.5, 1.5, 4), beta=rng.normal(size=4),
                      rmean=rng.normal(size=4), rvar=rng.uniform(0.3, 3.0, 4))
-        return x, stats, rng.normal(size=(3, 4, k, k)) * 0.5, rng.normal(size=3)
+        w = rng.normal(size=(3, 4, k, k)) * 0.5
+        return x, stats, unpool_layout(w) if op == "unpool_conv2d" else w, rng.normal(size=3)
 
     @staticmethod
     def run(op, x_data, stats, w_data, b_data, stride, pad, mode):
@@ -793,7 +809,7 @@ class TestBnReluConv:
         if blocks == "rows":
             # one output row per block, so blocks share input rows
             monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
-        x, stats, w, b = self.case(k)
+        x, stats, w, b = self.case(k, op=op)
         fused = self.run(self.FUSED[op], x, stats, w, b, stride, pad, mode)
         composed = self.run(self.COMPOSED[op], x, stats, w, b, stride, pad, mode)
         names = "out rmean rvar d_x d_gamma d_beta d_w d_b".split()
@@ -802,7 +818,7 @@ class TestBnReluConv:
 
     @pytest.mark.parametrize("op", ["conv2d", "unpool_conv2d"])
     def test_gradients_match_finite_differences(self, op):
-        x_data, stats, w_data, b_data = self.case(3, seed=62)
+        x_data, stats, w_data, b_data = self.case(3, seed=62, op=op)
         gamma, beta = stats["gamma"], stats["beta"]
         out, _, _, d_x, d_gamma, d_beta, d_w, d_b = self.run(
             self.FUSED[op], x_data, stats, w_data, b_data, 1, 1, "train")
@@ -821,7 +837,7 @@ class TestBnReluConv:
 
     @pytest.mark.parametrize("op", ["conv2d", "unpool_conv2d"])
     def test_running_statistics_change_once_in_forward(self, op):
-        x_data, stats, w_data, b_data = self.case(3)
+        x_data, stats, w_data, b_data = self.case(3, op=op)
         once = bn_params(4, **stats)
         nn.batchnorm(T.Tensor(x_data), once, "train")
 
@@ -836,7 +852,7 @@ class TestBnReluConv:
 
     @pytest.mark.parametrize("op", ["conv2d", "unpool_conv2d"])
     def test_untracked_input_and_batchnorm_get_no_gradient(self, op):
-        x_data, stats, w_data, b_data = self.case(3)
+        x_data, stats, w_data, b_data = self.case(3, op=op)
         *_, d_w, d_b = self.run(self.COMPOSED[op], x_data, stats, w_data, b_data, 1, 1, "train")
         x = T.Tensor(x_data)
         norm = bn_params(4, **stats)
@@ -865,7 +881,9 @@ class TestBnReluConv:
         rng = np.random.default_rng(63)
         x = T.Tensor(rng.normal(size=(2, 8, 16, 16)), requires_grad=True)
         norm = bn_params(8)
-        p = conv_params(rng.normal(size=(4, 8, 3, 3)), rng.normal(size=(4,)), padding=1)
+        w = rng.normal(size=(4, 8, 3, 3))
+        p = conv_params(unpool_layout(w) if op == "unpool_conv2d" else w, rng.normal(size=(4,)),
+                        padding=1)
         with T.Graph():
             out, kept, _ = traced_bytes(lambda: self.FUSED[op](x, norm, mode, p))
         # x-hat in train mode, nothing but the input by reference in infer mode;
@@ -874,26 +892,31 @@ class TestBnReluConv:
         if mode == "infer":
             assert kept <= out.data.nbytes + SLACK
 
-    def test_no_graph_forward_never_builds_the_whole_relu_output(self, monkeypatch):
+    @pytest.mark.parametrize("op", ["conv2d", "unpool_conv2d"])
+    def test_no_graph_forward_never_builds_the_whole_relu_output(self, op, monkeypatch):
         rng = np.random.default_rng(64)
         x = T.Tensor(rng.normal(size=(2, 16, 32, 32)))
         norm = bn_params(16)
-        p = conv_params(rng.normal(size=(4, 16, 3, 3)), rng.normal(size=(4,)), padding=1, grad=False)
+        w = rng.normal(size=(4, 16, 3, 3))
+        p = conv_params(unpool_layout(w) if op == "unpool_conv2d" else w, rng.normal(size=(4,)),
+                        padding=1, grad=False)
         budget = 64 * 1024
         monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
         drop_workspace()
-        out, _, peak = traced_bytes(lambda: nn.bn_relu_conv2d(x, norm, "infer", p))
+        out, _, peak = traced_bytes(lambda: self.FUSED[op](x, norm, "infer", p))
         assert peak <= out.data.nbytes + 2 * budget + SLACK < out.data.nbytes + x.data.nbytes
 
-    def test_train_backward_never_builds_the_whole_relu_output(self, monkeypatch):
+    @pytest.mark.parametrize("op", ["conv2d", "unpool_conv2d"])
+    def test_train_backward_never_builds_the_whole_relu_output(self, op, monkeypatch):
         rng = np.random.default_rng(65)
         x = T.Tensor(rng.normal(size=(2, 16, 64, 64)), requires_grad=True)
         norm = bn_params(16)
-        p = conv_params(rng.normal(size=(2, 16, 3, 3)), None, padding=1, grad=False)
+        w = rng.normal(size=(2, 16, 3, 3))
+        p = conv_params(unpool_layout(w) if op == "unpool_conv2d" else w, None, padding=1, grad=False)
         budget = 2 * 16 * 9 * 64 * 8        # two output rows of columns
         monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
         with T.Graph():
-            out = nn.bn_relu_conv2d(x, norm, "train", p)
+            out = self.FUSED[op](x, norm, "train", p)
             loss = sum_all(out)
         _, _, peak = traced_bytes(lambda: T.backward(loss))
         # the output gradient and the returned gradients, the ReLU's mask as
@@ -912,20 +935,22 @@ class TestWorkspace:
     OPS = {
         "conv2d": lambda x, norm, p: nn.conv2d(x, p),
         "bn_relu_conv2d": lambda x, norm, p: nn.bn_relu_conv2d(x, norm, "infer", p),
-        "unpool_conv2d": lambda x, norm, p: nn.unpool_conv2d(x, p, 2),
-        "bn_relu_unpool_conv2d": lambda x, norm, p: nn.bn_relu_unpool_conv2d(x, norm, "infer", p, 2),
+        "unpool_conv2d": lambda x, norm, p: nn.unpool_conv2d(x, p),
+        "bn_relu_unpool_conv2d": lambda x, norm, p: nn.bn_relu_unpool_conv2d(x, norm, "infer", p),
     }
 
     @staticmethod
     def case(op, size, seed):
         """Input [2,4,size,size], infer batchnorm statistics, and 3x3 weights
-        at padding 1 (stride 2 for the plain convs, so rows overlap)."""
+        in `op`'s layout at stride 2 (so the plain convs' rows overlap, and
+        the unpool's factor is 2) and padding 1."""
         rng = np.random.default_rng(seed)
         x = T.Tensor(rng.normal(1.0, 2.0, size=(2, 4, size, size)))
         norm = bn_params(4, rng.uniform(0.5, 1.5, 4), rng.normal(size=4), rng.normal(size=4),
                          rng.uniform(0.3, 3.0, 4))
-        stride = 1 if "unpool" in op else 2
-        p = conv_params(rng.normal(size=(3, 4, 3, 3)), rng.normal(size=(3,)), stride, 1, grad=False)
+        w = rng.normal(size=(3, 4, 3, 3))
+        p = conv_params(unpool_layout(w) if "unpool" in op else w, rng.normal(size=(3,)), 2, 1,
+                        grad=False)
         return x, norm, p
 
     @pytest.mark.parametrize("op", list(OPS))
@@ -979,10 +1004,11 @@ class TestWorkspace:
             assert len(nn._blocks(2, 16, 16 * 9 * 16 * 8)) == 2
             run = lambda: nn.conv2d(x, p)  # noqa: E731
         else:
-            # taps of one kernel row, weights and canvas
+            # one block: its taps and its canvas
             x = T.Tensor(rng.normal(size=(2, 16, 8, 8)))
-            p = conv_params(rng.normal(size=(8, 16, 5, 5)), rng.normal(size=(8,)), 1, 2, grad=False)
-            run = lambda: nn.unpool_conv2d(x, p, 2)  # noqa: E731
+            p = conv_params(unpool_layout(rng.normal(size=(8, 16, 5, 5))), rng.normal(size=(8,)), 2, 2,
+                            grad=False)
+            run = lambda: nn.unpool_conv2d(x, p)  # noqa: E731
         if not bias:
             p.bias = None
         drop_workspace()
