@@ -3,21 +3,22 @@ recurrent attentional refinement network.
 
 The encoder shrinks an image to a spatially compact code by stride-2
 convolutions; the decoder grows the code back to a raw (pre-sigmoid)
-saliency map through blocks of a 2x unpool fused into a 5x5 convolution
-(``nn.unpool_conv2d``, which never builds the unpooled zeros), each
-followed by a capacity-adding 1x1 convolution. Every convolution pads by
-``kernel // 2`` and takes its input channels from the layer before it;
-the last 1x1 emits the 1-channel raw map. Each layer but that last one
-is conv, batchnorm, ReLU. A :class:`Stack` runs them as pre-activation
-units: the batchnorm and ReLU of a layer run inside the next layer's
-convolution, as one tape node (``nn.bn_relu_conv2d``,
-``nn.bn_relu_unpool_conv2d``) that keeps one activation. The first
-convolution of a stack is a plain op, and the encoder ends in
-``relu(batchnorm)``. The refinement network re-uses the same
-encoder/decoder shapes inside a two-layer recurrent loop that attends to
-one window per iteration and accumulates decoded patches into the running
-map; under a graph, each glimpse's head is one checkpoint node
-(:meth:`RefineNet.run_refinement`).
+saliency map through blocks of a 2x unpool then a 5x5 convolution, run
+as one transposed convolution at stride 2 (``nn.unpool_conv2d``, whose
+weights are stored as they scatter and which never builds the unpooled
+zeros), each followed by a capacity-adding 1x1 convolution. Every
+convolution pads by ``kernel // 2`` and takes its input channels from
+the layer before it; the last 1x1 emits the 1-channel raw map. Each
+layer but that last one is conv, batchnorm, ReLU. A :class:`Stack` runs
+them as pre-activation units: the batchnorm and ReLU of a layer run
+inside the next layer's convolution, as one tape node
+(``nn.bn_relu_conv2d``, ``nn.bn_relu_unpool_conv2d``) that keeps one
+activation. The first convolution of a stack is a plain op, and the
+encoder ends in ``relu(batchnorm)``. The refinement network re-uses the
+same encoder/decoder shapes inside a two-layer recurrent loop that
+attends to one window per iteration and accumulates decoded patches into
+the running map; under a graph, each glimpse's head is one checkpoint
+node (:meth:`RefineNet.run_refinement`).
 
 Both networks take batched input only: images ``[B,3,S,S]`` and raw maps
 ``[B,1,M,M]``. A rollout returns a :class:`RefinementTrace` holding each
@@ -156,18 +157,16 @@ class ConvLayer:
 class UnpoolConvLayer(ConvLayer):
     """A ConvLayer whose stride-1 conv reads its input unpooled by 2,
     without building the unpooled zeros: a transposed convolution at
-    stride 2 (``nn.unpool_conv2d``), whose weights are stored as they
-    scatter, [C_in, C_out, k, k] with the kernel flipped. The layer draws
-    them as the conv of the unpooled input, ``he_normal([c_out, c_in, k,
-    k])``, and stores that converted once: the same draws and the same
-    fan-in, so a seeded net computes the same function whichever layout
-    holds its weights."""
+    stride 2 (``nn.unpool_conv2d``) whose weights are stored as they
+    scatter, [C_in, C_out, k, k] with the kernel flipped. It draws them in
+    the layout of the conv of the unpooled input, as ConvLayer does, and
+    converts them once, so a seeded net takes the same draws, at the same
+    fan-in, and computes the same function."""
 
     def __init__(self, c_in, c_out, kernel, rng):
         super().__init__(c_in, c_out, kernel, rng, stride=2)
-        drawn = self.conv.weights.data
-        self.conv.weights = T.Tensor(drawn.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].copy(),
-                                     requires_grad=True)
+        w = self.conv.weights
+        w.data = w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].copy()
 
     def __call__(self, x: Tensor, norm: Optional[nn.BatchNormParams], mode: str) -> Tensor:
         if norm is None:

@@ -3,16 +3,15 @@
 Every layer takes batched input only: spatial layers, batchnorm included,
 take ``[B,C,H,W]`` and vector layers take ``[B,n]``; a single image is a
 batch of one. Infer-mode batchnorm is one per-channel scale and shift.
-Convolution is cross-correlation (no kernel flip), computed in blocks of
-im2col and one matmul (:func:`conv2d`). The decoder's unpool then
-stride-1 convolution is one op, :func:`unpool_conv2d`, a transposed
-convolution that never builds the unpooled zeros, equal to
-``conv2d(unpool(x, k), p)``, which stays as its reference. Both ops
-gather with :func:`_window` then :func:`_im2col` and scatter with
-:func:`_scatter_taps`, under the one origin rule that
-:func:`_scatter_taps` states, so no padding is a zero canvas around an
-input or a gradient, and no result is cropped out of a larger array. The
-temporaries of a convolution's forward come from :func:`_scratch`.
+Both convolutions run one blocked plan, :func:`_conv_plan`: its gather
+(:func:`_window`, :func:`_im2col`, a matmul) and its scatter (a matmul,
+:func:`_scatter_taps`) place every tap by one origin rule, so no padding
+is a zero canvas around an input or a gradient. :func:`conv2d`, a
+cross-correlation, runs it forwards. The decoder's unpool then stride-1
+convolution is :func:`unpool_conv2d`, a transposed convolution that runs
+it backwards: its weights are stored as they scatter, and it never builds
+the unpooled zeros; ``conv2d(unpool(x, k), p)`` stays as its reference.
+The temporaries of a convolution's forward come from :func:`_scratch`.
 
 A conv stack runs as pre-activation units, :func:`bn_relu_conv2d` and
 :func:`bn_relu_unpool_conv2d`. Batchnorm's statistics and gradients live
@@ -44,7 +43,7 @@ from .tensor import Tensor, needs_grad, record, _active_graph, _check_tensor, _r
 BN_MOMENTUM = 0.9
 BN_EPSILON = 1e-5
 
-# conv2d works in blocks whose im2col columns take at most this many bytes
+# a conv plan works in blocks whose im2col columns take at most this many bytes
 _BLOCK_BYTES = 4 * 1024 * 1024
 
 
@@ -94,10 +93,8 @@ def _check_vector(t: Optional[Tensor], n: int, what: str) -> None:
 
 
 def _kernel_shape(p: Conv2dParams, c_in: int, what: str, transposed: bool) -> tuple:
-    """The [C_l, C_d, kh, kw] shape of `p`'s weights (see :func:`_conv_plan`):
-    [C_out, C_in, kh, kw] for a convolution, [C_in, C_out, kh, kw] for a
-    `transposed` one, checked against an input of `c_in` channels, and
-    against the bias, whose length is C_out."""
+    """The shape of `p`'s weights, [C_in, C_out, kh, kw] if `transposed`, else
+    [C_out, C_in, kh, kw], checked against an input of `c_in` channels and the bias."""
     layout = "[C_in,C_out,kh,kw]" if transposed else "[C_out,C_in,kh,kw]"
     if p.weights.ndim != 4:
         raise ShapeError(f"{what} weights must be {layout}, got {p.weights.shape}")
@@ -117,11 +114,10 @@ def _scratch(slot: str, shape: tuple) -> np.ndarray:
     conv plan's forward holds within one call. With no graph active it is
     a view of this thread's buffer `slot`, grown to fit and kept for the
     next call, so a steady pass faults in no fresh pages; the next request
-    for `slot` overwrites it. The buffer stays as large as the largest
-    request the thread has made: a conv block's slot at most about
-    :data:`_BLOCK_BYTES`, an unpool's its whole batch. While a graph is
-    active it is fresh memory, because there the tape, not the
-    temporaries, sets the peak, and the thread's buffers are dropped. Each
+    for `slot` overwrites it, and it stays as large as the largest, a
+    block's share. While a graph is active it is fresh memory, because
+    there the tape, not the temporaries, sets the peak, and the thread's
+    buffers are dropped. Each
     use writes every element it reads. An op's output, a tape closure's
     array and a gradient never come from it, and backward never calls it."""
     if _active_graph() is not None:
@@ -136,15 +132,12 @@ def _scratch(slot: str, shape: tuple) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple, alloc=None) -> np.ndarray:
-    """Columns [C*kh*kw, B*h*w] of the kh x kw windows of `x` [B,C,H,W]
-    whose top-left corners sit at row ``s*y`` and column ``s*x`` for (y, x)
-    on the `out_hw` lattice: im2col at stride `s`, the gather that
-    :func:`_scatter_taps` undoes. Every image's columns are laid side by
-    side, so one matmul sums a product over the batch, and
-    :func:`_per_image` views them image by image. A read-only view of `x`
-    when no copy is needed (one image, 1x1 windows at stride 1), otherwise
-    copied into a fresh array, or into ``alloc("cols", shape)`` when
-    forward passes :func:`_scratch` as `alloc`."""
+    """Columns [C*kh*kw, B*h*w], images side by side, of the kh x kw windows
+    of `x` [B,C,H,W] at rows ``s*y`` and columns ``s*x`` for (y, x) on the
+    `out_hw` lattice: im2col at stride `s`, the gather that
+    :func:`_scatter_taps` undoes. A read-only view of `x` when no copy is
+    needed (one image, 1x1 windows at stride 1), otherwise copied into a
+    fresh array, or into ``alloc("cols", shape)``."""
     b, c, rows, width = x.shape
     h, w = out_hw
     if s * (h - 1) + kh > rows or s * (w - 1) + kw > width:
@@ -159,11 +152,6 @@ def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple, alloc=None) 
     cols = np.empty(shape) if alloc is None else alloc("cols", shape)
     np.copyto(cols.reshape(c, kh, kw, b, h, w), windows.transpose(1, 2, 3, 0, 4, 5))
     return cols
-
-
-def _per_image(cols: np.ndarray, b: int) -> np.ndarray:
-    """The [B, K, n] view, image by image, of columns [K, B*n] laid side by side."""
-    return cols.reshape(cols.shape[0], b, -1).transpose(1, 0, 2)
 
 
 def _lattice(origin: int, s: int, n: int, size: int) -> tuple:
@@ -275,51 +263,34 @@ def _window(data: np.ndarray, imgs: slice, y0: int, y1: int, x0: int, x1: int,
     return buf
 
 
-# A conv plan checks one convolution's arguments against its input's shape
-# and returns the (forward, backward) pair that computes it:
-#   forward(data, relu=None) -> the output for the input `data`, or, with
-#       `relu` a (scale, shift) pair, for the input _bn_relu(data, *relu);
-#   backward(og, data, track_x, relu=None) -> the gradients in the input,
-#       the weights and the bias, with None for the input unless `track_x`;
-#       `data` and `relu` are what forward took, and with `relu` the input
-#       gradient is the one in the ReLU's input: ReLU's mask applied.
-# Neither closes over an input array, so the op that records a plan decides
-# what its tape keeps.
-
-
 def _conv_plan(shape: tuple, p: Conv2dParams, transposed: bool) -> tuple:
-    """The plan of :func:`conv2d`, or with `transposed` of
-    :func:`unpool_conv2d`, for an input of `shape` [B,C,H,W].
+    """The (forward, backward) pair of :func:`conv2d`, or with `transposed`
+    of :func:`unpool_conv2d`, for an input of `shape` [B,C,H,W], its
+    arguments checked. ``forward(data, relu=None)`` is the output for the
+    input `data`, or with `relu` a (scale, shift) pair for
+    ``_bn_relu(data, *relu)``. ``backward(og, data, track_x, relu=None)``
+    takes what forward took and returns the gradients in the input (None
+    unless `track_x`; with `relu`, in the ReLU's input), the weights and
+    the bias. Neither keeps an input array: the op that records decides
+    what its tape keeps.
 
-    Both ops are one convolution between a dense array [B,C_d,H_d,W_d] and
-    a lattice array [B,C_l,h,w] at stride s: lattice point (y, x) is the
-    weights [C_l, C_d, kh, kw] times the kh x kw window of the dense array
-    whose top-left corner sits at row ``s*y - top`` and column ``s*x -
-    left``, read as zero outside it. The plan has three halves, each run
-    over blocks of lattice rows (:func:`_blocks`) with the weights as one
-    matrix ``W2`` [C_l, C_d*kh*kw]:
-
-    - the gather: a window's columns (:func:`_window`, :func:`_im2col`)
-      times ``W2``, matmul'd into the lattice rows of the block;
-    - the scatter: ``W2ᵀ`` times the block's lattice rows, whose taps
-      :func:`_scatter_taps` adds onto the dense array;
-    - the weight gradient: the block's lattice rows times its columns.
-
-    :func:`conv2d` reads a dense input at its stride, with ``top = left =
-    padding``: its forward is the gather, and its backward the scatter of
-    the output gradient plus the weight gradient. :func:`unpool_conv2d`
-    reads its input as the lattice, at the unpool factor `p.stride`, with
-    ``top = kh - 1 - padding``: its forward is the scatter, and its
-    backward the gather of the output gradient plus the weight gradient.
-    """
+    Both ops are one convolution at stride s between a dense array [B,C_d,.,.]
+    and a lattice array [B,C_l,h,w]: lattice point (y, x) is the weights
+    [C_l, C_d, kh, kw], as one matrix ``W2``, times the dense window at row
+    ``s*y - top`` and column ``s*x - left``. Its three halves run over
+    blocks of lattice rows: the gather (a window's columns times ``W2``),
+    the scatter (``W2ᵀ`` times lattice rows, whose taps add onto the dense
+    array) and the weight gradient (lattice rows times columns). conv2d's
+    input is dense: its forward gathers, its backward scatters.
+    unpool_conv2d's input is the lattice: its forward scatters, its
+    backward gathers."""
     what = "unpool_conv2d" if transposed else "conv2d"
     _require_int(p.stride, 1, f"{what} stride")
     _require_int(p.padding, 0, f"{what} padding")
     b, c_in, h, w = shape
     c_lat, c_dense, kh, kw = _kernel_shape(p, c_in, what, transposed)
     s, pad = p.stride, p.padding
-    # the convolution's input and stride: the unpooled input at stride 1
-    # for unpool_conv2d
+    # the convolution's input and stride; unpool_conv2d's is the unpooled input
     in_h, in_w, step = (s * h, s * w, 1) if transposed else (h, w, s)
     ho = conv_output_size(in_h, kh, step, pad)
     wo = conv_output_size(in_w, kw, step, pad)
@@ -339,114 +310,91 @@ def _conv_plan(shape: tuple, p: Conv2dParams, transposed: bool) -> tuple:
 
     def columns(data, imgs, rows, relu=None, alloc=None, mask=None):
         """The columns of the dense window that lattice `rows` of images
-        `imgs` read; `relu`, `alloc` and `mask` as :func:`_window` takes
-        them."""
+        `imgs` read (:func:`_window` takes the other arguments)."""
         window = _window(data, imgs, s * rows.start - top, s * (rows.stop - 1) + kh - top,
                          -left, s * (wl - 1) + kw - left, relu, alloc, mask)
         return _im2col(window, kh, kw, s, (rows.stop - rows.start, wl), alloc)
 
     def lattice_rows(data, imgs, rows, relu=None, alloc=None):
-        """Lattice `rows` of images `imgs` as [n, C_l, rows*wl], through
-        :func:`_bn_relu` with `relu`, into ``alloc("rows", ...)`` if given."""
-        part = data[imgs, :, rows]
-        if relu is not None:
-            part = _bn_relu(part, *relu, out=None if alloc is None else alloc("rows", part.shape))
+        """Lattice `rows` of images `imgs` as [n, C_l, m] (:func:`_window`)."""
+        part = _window(data, imgs, rows.start, rows.stop, 0, wl, relu, alloc)
         return part.reshape(len(part), c_lat, -1)
 
     def gather(cols, out3, imgs, rows):
-        """Write ``W2`` times the columns `cols` into lattice `rows` of
-        images `imgs` of `out3` [B, C_l, hl*wl], and return that slice."""
+        """``W2`` times `cols`, written into and returned as lattice `rows`
+        of images `imgs` of `out3` [B, C_l, hl*wl]."""
         part = out3[imgs, :, rows.start * wl:rows.stop * wl]
-        return np.matmul(w2, _per_image(cols, len(part)), out=part)
+        return np.matmul(w2, cols.reshape(k, len(part), -1).transpose(1, 0, 2), out=part)
 
     def scatter(lat, target, top_row, out=None):
-        """Add the taps of the lattice rows `lat` [n, C_l, rows*wl], ``W2ᵀ``
-        times each image's rows, formed in `out` when given, onto `target`
-        [n, C_d, ., W_d]: tap i of the block's lattice row y lands on
-        target row ``i + s*y - top_row``."""
+        """Add the taps ``W2ᵀ`` times `lat`, formed in `out` if given, onto
+        `target`, tap i of lattice row y onto row ``i + s*y - top_row``."""
         taps = np.matmul(w2.T, lat, out=out)
         _scatter_taps(taps.reshape(len(lat), c_dense, kh, kw, -1, wl), s, target, top_row, left)
 
     def weight_grad(lat, cols):
-        """The block's share of the weight gradient [C_l, C_d*kh*kw]: its
-        lattice rows `lat` [n, C_l, m] times its columns. Several images'
-        products are formed and summed when together they take no more than
-        the columns (C_l <= m); otherwise the images sum inside one matmul,
-        their rows laid side by side, so that no second weight-sized array
-        is built."""
+        """Lattice rows `lat` [n, C_l, m] times their columns, summed over
+        the images: as n products when those take no more than the columns
+        (C_l <= m), otherwise in one matmul, which builds no second
+        weight-sized array."""
         n, _, m = lat.shape
         if n > 1 and c_lat <= m:
-            return np.matmul(lat, _per_image(cols, n).transpose(0, 2, 1)).sum(axis=0)
+            return np.matmul(lat, cols.reshape(k, n, m).transpose(1, 2, 0)).sum(axis=0)
         return np.matmul(lat.transpose(1, 0, 2).reshape(c_lat, -1), cols.T)
 
     def forward(data, relu=None):
         if not transposed:
             out = np.empty(lattice)
-            out3 = out.reshape(b, c_lat, hl * wl)
+            out3 = out.reshape(b, c_lat, -1)
             for imgs, rows in blocks:
                 gather(columns(data, imgs, rows, relu, _scratch), out3, imgs, rows)
-            if p.bias is not None:
-                _add_bias(out, p.bias.data)
-            return out
-        out = None
-        bias = 0.0 if p.bias is None else p.bias.data[:, None, None]
-        for imgs, rows in blocks:
-            if rows.start == 0:
-                done = 0    # output rows of these images written so far
-            lat = lattice_rows(data, imgs, rows, relu, _scratch)
-            # the output rows the block writes, on a canvas: from the first
-            # row its taps reach, or the first one not written yet, to the
-            # last row they reach, or the last output row
-            y0 = min(done, max(0, s * rows.start - top))
-            y1 = dense[2] if rows.stop == hl else min(dense[2], s * (rows.stop - 1) + kh - top)
-            canvas = _scratch("canvas", (len(lat), c_dense, y1 - y0, dense[3]))
-            canvas[:, :, :done - y0] = 0.0
-            canvas[:, :, done - y0:] = bias
-            scatter(lat, canvas, top - s * rows.start + y0,
-                    _scratch("cols", (len(lat), k, lat.shape[2])))
-            if out is None:
-                # made after the first scatter, whose strided adds take numpy
-                # iterator buffers, so that a one-block call peaks at its output
-                out = np.empty(dense)
-            # rows the block before wrote take a sum, the rest a plain copy
-            out[imgs, :, y0:done] += canvas[:, :, :done - y0]
-            np.copyto(out[imgs, :, done:y1], canvas[:, :, done - y0:])
-            done = y1
-            del lat, canvas     # before the next block builds its own
+        else:
+            out = None
+            for imgs, rows in blocks:
+                lat = lattice_rows(data, imgs, rows, relu, _scratch)
+                # the output rows its taps reach, on a zeroed canvas
+                y0 = max(0, s * rows.start - top)
+                y1 = min(dense[2], s * (rows.stop - 1) + kh - top)
+                canvas = _scratch("canvas", (len(lat), c_dense, y1 - y0, dense[3]))
+                canvas.fill(0.0)
+                scatter(lat, canvas, top - s * rows.start + y0,
+                        _scratch("cols", (len(lat), k, lat.shape[2])))
+                if out is None:
+                    # made after the first scatter, whose strided adds take
+                    # numpy iterator buffers: a one-block call peaks at its output
+                    out = np.zeros(dense)
+                out[imgs, :, y0:y1] += canvas
+                del lat, canvas     # before the next block builds its own
+        if p.bias is not None:
+            _add_bias(out, p.bias.data)
         return out
 
     def backward(og, data, track_x, relu=None):
         d_w = None
-        d_x = None
-        if track_x:
-            # a gather writes every input row once; a scatter adds into them
-            d_x = np.empty(shape) if transposed else np.zeros(shape)
+        # a gather writes each input row once; a scatter adds into them
+        d_x = (np.empty if transposed else np.zeros)(shape) if track_x else None
         # conv2d's ReLU "> 0" as bools, 1/8 of its output, which each block
         # rebuilds only for the rows it reads; rows no block reads keep a
         # zero gradient whatever their mask
-        mask = np.zeros(shape, dtype=bool) if track_x and relu is not None and not transposed else None
+        mask = None
+        if track_x and relu is not None and not transposed:
+            mask = np.zeros(shape, dtype=bool)
         for imgs, rows in blocks:
             if transposed:
-                cols = columns(og, imgs, rows)
-                lat = lattice_rows(data, imgs, rows, relu)
+                cols, lat = columns(og, imgs, rows), lattice_rows(data, imgs, rows, relu)
             else:
-                cols = columns(data, imgs, rows, relu, mask=mask)
-                lat = lattice_rows(og, imgs, rows)
+                cols, lat = columns(data, imgs, rows, relu, mask=mask), lattice_rows(og, imgs, rows)
             part = weight_grad(lat, cols)
-            if d_w is None:
-                d_w = part
-            else:
-                d_w += part
+            d_w = part if d_w is None else np.add(d_w, part, out=d_w)
             if track_x and transposed:
-                d_lat = gather(cols, d_x.reshape(b, c_lat, hl * wl), imgs, rows)
+                d_lat = gather(cols, d_x.reshape(b, c_lat, -1), imgs, rows)
                 if relu is not None:
                     d_lat *= lat > 0.0      # relu's backward as T.relu computes it
             elif track_x:
                 # the taps go into the columns' buffer, unless the columns
                 # are a read-only view of the input (1x1 kernels at stride 1)
-                n = len(lat)
                 scatter(lat, d_x[imgs], top - s * rows.start,
-                        cols.reshape(n, k, -1) if cols.flags.writeable else None)
+                        cols.reshape(len(lat), k, -1) if cols.flags.writeable else None)
             del cols, lat, part     # before the next block builds its own
         if mask is not None:
             # relu's backward as T.relu computes it, in place
@@ -471,24 +419,13 @@ def _record_conv(x: Tensor, p: Conv2dParams, plan: tuple) -> Tensor:
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """Strided cross-correlation with symmetric zero padding; `p.weights`
-    are [C_out, C_in, kh, kw].
-
-    Works in blocks whose im2col columns take at most :data:`_BLOCK_BYTES`:
-    groups of whole images when one image's columns fit, otherwise runs of
-    one image's output rows. Each block pads only the input rows it reads
-    and matmuls its columns straight into its slice of the output, so no
-    padded copy of the whole input and no columns of the whole batch are
-    built. A conv that fits the budget is one block. With no graph active,
-    a block's padded rows and columns live in the thread's workspace
-    (:func:`_scratch`).
-
-    When the op records, the tape keeps a reference to the input array,
-    which lives anyway (the op before keeps it, or the caller holds it), so
-    the op adds no activation of its own. Backward pads each block's rows
-    again and rebuilds its columns for the weight gradient, summed over
-    blocks, then reuses that buffer for the input gradient's taps, which
-    add straight into the input gradient, those on the padding dropped. An
-    untracked input gets no gradient.
+    are [C_out, C_in, kh, kw]. Runs :func:`_conv_plan` forwards, in blocks
+    whose im2col columns take at most :data:`_BLOCK_BYTES`: groups of whole
+    images, or runs of one image's output rows. Each block pads only the
+    input rows it reads, in the thread's workspace with no graph active.
+    The tape keeps a reference to the input array, which lives anyway, so
+    the op adds no activation of its own; backward rebuilds each block's
+    columns. An untracked input gets no gradient.
     """
     data = _check_4d(x, "conv2d")
     return _record_conv(x, p, _conv_plan(data.shape, p, False))
@@ -509,20 +446,17 @@ def unpool(x: Tensor, k: int) -> Tensor:
 
 
 def unpool_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """The stride-1 convolution of ``unpool(x, p.stride)``, without the
-    unpooled zeros: a transposed convolution at stride `p.stride`, whose
-    weights `p.weights` [C_in, C_out, kh, kw] are stored as they scatter.
-    With ``w[o, c, i, j] = p.weights[c, o, kh-1-i, kw-1-j]`` it equals
-    ``conv2d(unpool(x, p.stride), Conv2dParams(w, p.bias, 1, p.padding))``,
-    which stays as its reference; only the order of the float64 sums
-    differs.
+    """The stride-1 convolution of ``unpool(x, p.stride)`` without the
+    unpooled zeros: a transposed convolution at stride `p.stride` whose
+    weights [C_in, C_out, kh, kw] are stored as they scatter. With ``w[o,
+    c, i, j] = p.weights[c, o, kh-1-i, kw-1-j]`` it is ``conv2d(unpool(x,
+    p.stride), Conv2dParams(w, p.bias, 1, p.padding))`` up to the order of
+    the float64 sums.
 
-    Each input value, times its weights, is added onto the output at
-    stride `p.stride`. Forward works over blocks of input rows, each one
-    matmul at input resolution whose taps land on a canvas in the thread's
-    workspace, added into the output; backward gathers the output
-    gradient's windows at stride `p.stride` for both the input and the
-    weight gradient (:func:`_conv_plan`).
+    Forward works over blocks of input rows: one matmul each at input
+    resolution, whose taps land on a canvas in the thread's workspace that
+    is added into the output. Backward gathers the output gradient's
+    windows at stride `p.stride` for the input and the weight gradient.
     """
     data = _check_4d(x, "unpool_conv2d")
     return _record_conv(x, p, _conv_plan(data.shape, p, True))
@@ -660,6 +594,7 @@ def bn_relu_unpool_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2d
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
     """Affine map x @ weights.T + bias for a batch of vectors [B,n]."""
+    _check_tensor(x, "linear input")
     if x.ndim != 2:
         raise ShapeError(f"linear expects a batch of vectors [B,n], got {x.shape}")
     if p.weights.ndim != 2:
@@ -683,7 +618,9 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
 
 def bce_with_logits(logits: Tensor, target) -> Tensor:
     """Mean binary cross-entropy of sigmoid(logits) against `target`,
-    computed from the raw logits; finite for any logit magnitude."""
+    computed from the raw logits; finite for any logit magnitude. The
+    target may be an array."""
+    _check_tensor(logits, "bce_with_logits logits")
     g = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
     if logits.shape != g.shape:
         raise ShapeError(f"prediction {logits.shape} vs target {g.shape}")

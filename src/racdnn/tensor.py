@@ -392,6 +392,8 @@ def he_normal(shape, rng: np.random.Generator, requires_grad: bool = False) -> T
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    _check_tensor(a, "add operand")
+    _check_tensor(b, "add operand")
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
 
@@ -402,6 +404,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    _check_tensor(a, "relu input")
     out_data = np.maximum(a.data, 0.0)
 
     def bwd(og):
@@ -421,6 +424,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    _check_tensor(a, "sigmoid input")
     s = _sigmoid(a.data)
 
     def bwd(og):
@@ -434,6 +438,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
+    _check_tensor(a, "reshape input")
     shape = _validate_shape(shape)
     if int(np.prod(shape)) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} into {shape}")
@@ -449,6 +454,8 @@ def masked_add(base: Tensor, delta: Tensor, mask: np.ndarray) -> Tensor:
     """base + delta where `mask` holds; elsewhere the result carries the
     base's bit pattern verbatim. Equivalent to a plain add when delta is
     zero off-mask, but immune to floating-point signed-zero artifacts."""
+    _check_tensor(base, "masked_add base")
+    _check_tensor(delta, "masked_add delta")
     if base.shape != delta.shape:
         raise ShapeError(f"shape mismatch: {base.shape} vs {delta.shape}")
     mask = np.broadcast_to(mask, base.shape)

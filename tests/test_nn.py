@@ -564,6 +564,10 @@ BAD_ARGUMENTS = {
     "bn_relu_conv2d.ndarray": (_bn_relu_conv_call("conv2d", tensor=False), ArgumentError),
     "bn_relu_unpool_conv2d.ndarray": (_bn_relu_conv_call("unpool_conv2d", tensor=False),
                                       ArgumentError),
+    "linear.ndarray": (lambda: nn.linear(np.zeros((1, 2)), nn.LinearParams(T.zeros([4, 2]), None)),
+                       ArgumentError),
+    "bce_with_logits.ndarray": (lambda: nn.bce_with_logits(np.zeros((1, 2)), np.zeros((1, 2))),
+                                ArgumentError),
 }
 
 

@@ -70,6 +70,24 @@ class TestElementwise:
         assert np.all(np.isfinite(out.data))
 
 
+# an ndarray where an op takes a Tensor
+NOT_TENSORS = {
+    "add.first": lambda: T.add(np.zeros(2), T.zeros([2])),
+    "add.second": lambda: T.add(T.zeros([2]), np.zeros(2)),
+    "relu": lambda: T.relu(np.zeros(2)),
+    "sigmoid": lambda: T.sigmoid(np.zeros(2)),
+    "reshape": lambda: T.reshape(np.zeros(4), (2, 2)),
+    "masked_add.base": lambda: T.masked_add(np.zeros(2), T.zeros([2]), np.ones(2, dtype=bool)),
+    "masked_add.delta": lambda: T.masked_add(T.zeros([2]), np.zeros(2), np.ones(2, dtype=bool)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(NOT_TENSORS))
+def test_array_for_a_tensor_rejected(op):
+    with pytest.raises(ArgumentError, match="must be a Tensor"):
+        NOT_TENSORS[op]()
+
+
 class TestMatmul:
     def test_identity(self):
         m = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
