@@ -130,10 +130,15 @@ class ConvLayer:
 
     def __init__(self, c_in, c_out, kernel, rng, stride=1, bare=False):
         self.conv = nn.Conv2dParams(
-            weights=T.he_normal([c_out, c_in, kernel, kernel], rng, requires_grad=True),
+            weights=self.draw(c_in, c_out, kernel, rng),
             bias=T.zeros([c_out], requires_grad=True) if bare else None,
             stride=stride, padding=kernel // 2)
         self.norm = None if bare else _bn(c_out)
+
+    @staticmethod
+    def draw(c_in, c_out, kernel, rng) -> Tensor:
+        """He-normal weights [c_out, c_in, k, k]: the conv's layout."""
+        return T.he_normal([c_out, c_in, kernel, kernel], rng, requires_grad=True)
 
     def __call__(self, x: Tensor, norm: Optional[nn.BatchNormParams], mode: str) -> Tensor:
         """This layer's convolution of `x`, or, when the layer before left
@@ -158,15 +163,18 @@ class UnpoolConvLayer(ConvLayer):
     """A ConvLayer whose stride-1 conv reads its input unpooled by 2,
     without building the unpooled zeros: a transposed convolution at
     stride 2 (``nn.unpool_conv2d``) whose weights are stored as they
-    scatter, [C_in, C_out, k, k] with the kernel flipped. It draws them in
-    the layout of the conv of the unpooled input, as ConvLayer does, and
-    converts them once, so a seeded net takes the same draws, at the same
-    fan-in, and computes the same function."""
+    scatter, [c_in, c_out, k, k] with the kernel flipped."""
 
-    def __init__(self, c_in, c_out, kernel, rng):
-        super().__init__(c_in, c_out, kernel, rng, stride=2)
-        w = self.conv.weights
-        w.data = w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].copy()
+    @staticmethod
+    def draw(c_in, c_out, kernel, rng) -> Tensor:
+        """ConvLayer's draws, at its fan-in, so that a seeded net computes
+        the same function, put into the stored layout one output channel at
+        a time: a whole drawn array, copied and dropped, would leave more of
+        the heap resident (glibc raises its mmap threshold to a freed mapping's size)."""
+        w = np.empty((c_in, c_out, kernel, kernel))
+        for o in range(c_out):
+            w[:, o] = T.he_normal([1, c_in, kernel, kernel], rng).data[0, :, ::-1, ::-1]
+        return T.Tensor(w, requires_grad=True)
 
     def __call__(self, x: Tensor, norm: Optional[nn.BatchNormParams], mode: str) -> Tensor:
         if norm is None:
@@ -219,7 +227,7 @@ def build_decoder(p: Preset, rng) -> Stack:
     layers, c_in = [], p.code_channels
     for i, width in enumerate(p.decoder):
         final = i == len(p.decoder) - 1
-        layers.append(UnpoolConvLayer(c_in, width, 5, rng))
+        layers.append(UnpoolConvLayer(c_in, width, 5, rng, stride=2))
         # 1x1 capacity layer; the very last one emits the 1-channel raw map bare
         layers.append(ConvLayer(width, 1 if final else width, 1, rng, bare=final))
         c_in = width

@@ -92,19 +92,6 @@ def _check_vector(t: Optional[Tensor], n: int, what: str) -> None:
         raise ShapeError(f"{what} has shape {t.shape}, expected ({n},)")
 
 
-def _kernel_shape(p: Conv2dParams, c_in: int, what: str, transposed: bool) -> tuple:
-    """The shape of `p`'s weights, [C_in, C_out, kh, kw] if `transposed`, else
-    [C_out, C_in, kh, kw], checked against an input of `c_in` channels and the bias."""
-    layout = "[C_in,C_out,kh,kw]" if transposed else "[C_out,C_in,kh,kw]"
-    if p.weights.ndim != 4:
-        raise ShapeError(f"{what} weights must be {layout}, got {p.weights.shape}")
-    c_in_axis = 0 if transposed else 1
-    if p.weights.shape[c_in_axis] != c_in:
-        raise ShapeError(f"input has {c_in} channels, kernel expects {p.weights.shape[c_in_axis]}")
-    _check_vector(p.bias, p.weights.shape[1 - c_in_axis], f"{what} bias")
-    return p.weights.shape
-
-
 # this thread's forward scratch buffers by slot, in ``.bufs``
 _workspace = threading.local()
 
@@ -288,7 +275,15 @@ def _conv_plan(shape: tuple, p: Conv2dParams, transposed: bool) -> tuple:
     _require_int(p.stride, 1, f"{what} stride")
     _require_int(p.padding, 0, f"{what} padding")
     b, c_in, h, w = shape
-    c_lat, c_dense, kh, kw = _kernel_shape(p, c_in, what, transposed)
+    # the weights are [C_l, C_d, kh, kw]: [C_in, C_out, ...] when transposed
+    layout = "[C_in,C_out,kh,kw]" if transposed else "[C_out,C_in,kh,kw]"
+    if p.weights.ndim != 4:
+        raise ShapeError(f"{what} weights must be {layout}, got {p.weights.shape}")
+    c_lat, c_dense, kh, kw = p.weights.shape
+    c_w_in, c_out = (c_lat, c_dense) if transposed else (c_dense, c_lat)
+    if c_w_in != c_in:
+        raise ShapeError(f"input has {c_in} channels, kernel expects {c_w_in}")
+    _check_vector(p.bias, c_out, f"{what} bias")
     s, pad = p.stride, p.padding
     # the convolution's input and stride; unpool_conv2d's is the unpooled input
     in_h, in_w, step = (s * h, s * w, 1) if transposed else (h, w, s)
@@ -376,9 +371,7 @@ def _conv_plan(shape: tuple, p: Conv2dParams, transposed: bool) -> tuple:
         # conv2d's ReLU "> 0" as bools, 1/8 of its output, which each block
         # rebuilds only for the rows it reads; rows no block reads keep a
         # zero gradient whatever their mask
-        mask = None
-        if track_x and relu is not None and not transposed:
-            mask = np.zeros(shape, dtype=bool)
+        mask = np.zeros(shape, bool) if track_x and relu is not None and not transposed else None
         for imgs, rows in blocks:
             if transposed:
                 cols, lat = columns(og, imgs, rows), lattice_rows(data, imgs, rows, relu)

@@ -519,12 +519,12 @@ BAD_ARGUMENTS = {
     "unpool.factor1.5": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), 1.5), ArgumentError),
     "unpool.factor-1": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), -1), ArgumentError),
     "unpool.factorTrue": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), True), ArgumentError),
-    # the stride of unpool_conv2d is its unpool factor
-    "unpool_conv2d.stride0": (_unpool_conv_call(stride=0), ArgumentError),
+    # unpool_conv2d's stride is its unpool factor
     "unpool_conv2d.stride-1": (_unpool_conv_call(stride=-1), ArgumentError),
-    "unpool_conv2d.stride1.5": (_unpool_conv_call(stride=1.5), ArgumentError),
     "unpool_conv2d.padding-1": (_unpool_conv_call(padding=-1), ArgumentError),
-    "unpool_conv2d.strideTrue": (_unpool_conv_call(stride=True), ArgumentError),
+    "unpool_conv2d.factor0": (_unpool_conv_call(stride=0), ArgumentError),
+    "unpool_conv2d.factor1.5": (_unpool_conv_call(stride=1.5), ArgumentError),
+    "unpool_conv2d.factorTrue": (_unpool_conv_call(stride=True), ArgumentError),
     "unpool_conv2d.paddingTrue": (_unpool_conv_call(padding=True), ArgumentError),
     "unpool_conv2d.weights3d": (lambda: nn.unpool_conv2d(T.zeros([1, 1, 4, 4]),
                                                          conv_params(np.zeros((1, 3, 3)))),
@@ -551,7 +551,7 @@ BAD_ARGUMENTS = {
                                    ("batch1", {"mode": "train", "b": 1}, BatchError),
                                    ("gamma2", {"gamma": 2}, ShapeError),
                                    ("strideTrue", {"stride": True}, ArgumentError)]},
-    "bn_relu_unpool_conv2d.stride0": (_bn_relu_conv_call("unpool_conv2d", stride=0), ArgumentError),
+    "bn_relu_unpool_conv2d.factor0": (_bn_relu_conv_call("unpool_conv2d", stride=0), ArgumentError),
     # an input that is an ndarray, not a Tensor
     "conv2d.ndarray": (lambda: nn.conv2d(np.zeros((1, 1, 4, 4)), conv_params(np.zeros((1, 1, 3, 3)))),
                        ArgumentError),
@@ -896,40 +896,43 @@ class TestBnReluConv:
         if mode == "infer":
             assert kept <= out.data.nbytes + SLACK
 
-    @pytest.mark.parametrize("op", ["conv2d", "unpool_conv2d"])
-    def test_no_graph_forward_never_builds_the_whole_relu_output(self, op, monkeypatch):
+    def test_no_graph_forward_never_builds_the_whole_relu_output(self, monkeypatch):
         rng = np.random.default_rng(64)
         x = T.Tensor(rng.normal(size=(2, 16, 32, 32)))
         norm = bn_params(16)
         w = rng.normal(size=(4, 16, 3, 3))
-        p = conv_params(unpool_layout(w) if op == "unpool_conv2d" else w, rng.normal(size=(4,)),
-                        padding=1, grad=False)
+        b = rng.normal(size=(4,))
         budget = 64 * 1024
         monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
-        drop_workspace()
-        out, _, peak = traced_bytes(lambda: self.FUSED[op](x, norm, "infer", p))
-        assert peak <= out.data.nbytes + 2 * budget + SLACK < out.data.nbytes + x.data.nbytes
+        # both fused ops, each from an empty workspace
+        for op, layout in (("conv2d", w), ("unpool_conv2d", unpool_layout(w))):
+            p = conv_params(layout, b, padding=1, grad=False)
+            drop_workspace()
+            out, _, peak = traced_bytes(lambda: self.FUSED[op](x, norm, "infer", p))
+            assert peak <= out.data.nbytes + 2 * budget + SLACK < out.data.nbytes + x.data.nbytes, op
 
-    @pytest.mark.parametrize("op", ["conv2d", "unpool_conv2d"])
-    def test_train_backward_never_builds_the_whole_relu_output(self, op, monkeypatch):
+    def test_train_backward_never_builds_the_whole_relu_output(self, monkeypatch):
         rng = np.random.default_rng(65)
         x = T.Tensor(rng.normal(size=(2, 16, 64, 64)), requires_grad=True)
         norm = bn_params(16)
         w = rng.normal(size=(2, 16, 3, 3))
-        p = conv_params(unpool_layout(w) if op == "unpool_conv2d" else w, None, padding=1, grad=False)
         budget = 2 * 16 * 9 * 64 * 8        # two output rows of columns
         monkeypatch.setattr(nn, "_BLOCK_BYTES", budget)
-        with T.Graph():
-            out = self.FUSED[op](x, norm, "train", p)
-            loss = sum_all(out)
-        _, _, peak = traced_bytes(lambda: T.backward(loss))
-        # the output gradient and the returned gradients, the ReLU's mask as
-        # bools, a block's window and columns, and numpy's iterator buffers
-        # for a strided add's operands; the ReLU output rebuilt whole would
-        # take x's size beside the input gradient
-        bound = (out.data.nbytes + x.data.nbytes + x.size + 2 * budget + 16 * np.getbufsize()
-                 + SLACK)
-        assert peak <= bound < out.data.nbytes + 2 * x.data.nbytes
+        # both fused ops
+        for op, layout in (("conv2d", w), ("unpool_conv2d", unpool_layout(w))):
+            p = conv_params(layout, None, padding=1, grad=False)
+            with T.Graph():
+                out = self.FUSED[op](x, norm, "train", p)
+                loss = sum_all(out)
+            _, _, peak = traced_bytes(lambda: T.backward(loss))
+            # the output gradient and the returned gradients, the ReLU's mask
+            # as bools, a block's window and columns, and numpy's iterator
+            # buffers for a strided add's operands; the ReLU output rebuilt
+            # whole would take x's size beside the input gradient
+            bound = (out.data.nbytes + x.data.nbytes + x.size + 2 * budget
+                     + 16 * np.getbufsize() + SLACK)
+            assert peak <= bound < out.data.nbytes + 2 * x.data.nbytes, op
+            x.grad = None
 
 
 class TestWorkspace:
