@@ -118,13 +118,17 @@ def _scratch(slot: str, shape: tuple) -> np.ndarray:
     return bufs[slot][:n].reshape(shape)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple, alloc=None) -> np.ndarray:
-    """Columns [C*kh*kw, B*h*w], images side by side, of the kh x kw windows
-    of `x` [B,C,H,W] at rows ``s*y`` and columns ``s*x`` for (y, x) on the
-    `out_hw` lattice: im2col at stride `s`, the gather that
+def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple, alloc=None,
+            side_by_side: bool = False) -> np.ndarray:
+    """Columns [B, C*kh*kw, h*w] of the kh x kw windows of `x` [B,C,H,W]
+    whose top-left corners sit at row ``s*y`` and column ``s*x`` for (y, x)
+    on the `out_hw` lattice: im2col at stride `s`, the gather that
     :func:`_scatter_taps` undoes. A read-only view of `x` when no copy is
-    needed (one image, 1x1 windows at stride 1), otherwise copied into a
-    fresh array, or into ``alloc("cols", shape)``."""
+    needed (1x1 windows at stride 1), otherwise copied into a fresh array,
+    or into ``alloc("cols", shape)`` when forward passes :func:`_scratch`
+    as `alloc`. With `side_by_side`, the copy lays every image's columns
+    side by side in one fresh [C*kh*kw, B*h*w] array, so that one matmul
+    sums a product over the batch."""
     b, c, rows, width = x.shape
     h, w = out_hw
     if s * (h - 1) + kh > rows or s * (w - 1) + kw > width:
@@ -133,11 +137,15 @@ def _im2col(x: np.ndarray, kh: int, kw: int, s: int, out_hw: tuple, alloc=None) 
     # [B,C,kh,kw,h,w], a read-only view
     windows = np.lib.stride_tricks.as_strided(x, (b, c, kh, kw, h, w),
                                               (sb, sc, sy, sx, s * sy, s * sx), writeable=False)
-    if b == kh == kw == s == 1:
-        return windows.reshape(c, h * w)
-    shape = (c * kh * kw, b * h * w)
+    if kh == kw == s == 1 and not (side_by_side and b > 1):
+        return windows.reshape(b, c, h * w)
+    if side_by_side:
+        cols = np.empty((c, kh, kw, b, h, w))
+        np.copyto(cols, windows.transpose(1, 2, 3, 0, 4, 5))
+        return cols.reshape(c * kh * kw, b, h * w).transpose(1, 0, 2)
+    shape = (b, c * kh * kw, h * w)
     cols = np.empty(shape) if alloc is None else alloc("cols", shape)
-    np.copyto(cols.reshape(c, kh, kw, b, h, w), windows.transpose(1, 2, 3, 0, 4, 5))
+    np.copyto(cols.reshape(windows.shape), windows)
     return cols
 
 
@@ -251,31 +259,25 @@ def _window(data: np.ndarray, imgs: slice, y0: int, y1: int, x0: int, x1: int,
 
 
 def _conv_plan(shape: tuple, p: Conv2dParams, transposed: bool) -> tuple:
-    """The (forward, backward) pair of :func:`conv2d`, or with `transposed`
-    of :func:`unpool_conv2d`, for an input of `shape` [B,C,H,W], its
-    arguments checked. ``forward(data, relu=None)`` is the output for the
-    input `data`, or with `relu` a (scale, shift) pair for
-    ``_bn_relu(data, *relu)``. ``backward(og, data, track_x, relu=None)``
-    takes what forward took and returns the gradients in the input (None
-    unless `track_x`; with `relu`, in the ReLU's input), the weights and
-    the bias. Neither keeps an input array: the op that records decides
-    what its tape keeps.
+    """The checked (forward, backward) pair of :func:`conv2d`, or with
+    `transposed` of :func:`unpool_conv2d`, for an input of `shape`.
+    ``forward(data, relu=None)`` is the output for `data`, or with `relu` a
+    (scale, shift) pair for ``_bn_relu(data, *relu)``; ``backward(og,
+    data, track_x, relu=None)`` returns the gradients in that input (None
+    unless `track_x`), the weights and the bias. Neither closes over an
+    input array: the op that records a plan decides what its tape keeps.
 
-    Both ops are one convolution at stride s between a dense array [B,C_d,.,.]
-    and a lattice array [B,C_l,h,w]: lattice point (y, x) is the weights
-    [C_l, C_d, kh, kw], as one matrix ``W2``, times the dense window at row
-    ``s*y - top`` and column ``s*x - left``. Its three halves run over
-    blocks of lattice rows: the gather (a window's columns times ``W2``),
-    the scatter (``W2ᵀ`` times lattice rows, whose taps add onto the dense
-    array) and the weight gradient (lattice rows times columns). conv2d's
-    input is dense: its forward gathers, its backward scatters.
-    unpool_conv2d's input is the lattice: its forward scatters, its
-    backward gathers."""
+    Both ops convolve a dense array [B,C_d,.,.] with a lattice [B,C_l,h,w]
+    at stride s: point (y, x) is the weights [C_l, C_d, kh, kw], as one
+    matrix ``W2``, times the dense window at row ``s*y - top`` and column
+    ``s*x - left``. The gather (columns times ``W2``), the scatter (``W2ᵀ``
+    times lattice rows, whose taps add onto the dense array) and the weight
+    gradient run over blocks of lattice rows. conv2d's input is dense, so
+    its forward gathers; unpool_conv2d's is the lattice, so it scatters."""
     what = "unpool_conv2d" if transposed else "conv2d"
     _require_int(p.stride, 1, f"{what} stride")
     _require_int(p.padding, 0, f"{what} padding")
     b, c_in, h, w = shape
-    # the weights are [C_l, C_d, kh, kw]: [C_in, C_out, ...] when transposed
     layout = "[C_in,C_out,kh,kw]" if transposed else "[C_out,C_in,kh,kw]"
     if p.weights.ndim != 4:
         raise ShapeError(f"{what} weights must be {layout}, got {p.weights.shape}")
@@ -302,13 +304,16 @@ def _conv_plan(shape: tuple, p: Conv2dParams, transposed: bool) -> tuple:
     # its columns, and when it scatters forward also its BN-ReLU rows and
     # the s rows of canvas that each of its rows reaches
     blocks = _blocks(b, hl, (k + (c_lat + s * s * c_dense if transposed else 0)) * wl * 8)
+    # backward sums a block's weight gradient over its images inside one
+    # matmul, their columns side by side, when their products [C_l, K]
+    # would take more than the columns; otherwise it sums the products
+    sum_in_matmul = c_lat > hl * wl
 
-    def columns(data, imgs, rows, relu=None, alloc=None, mask=None):
-        """The columns of the dense window that lattice `rows` of images
-        `imgs` read (:func:`_window` takes the other arguments)."""
+    def columns(data, imgs, rows, relu=None, alloc=None, mask=None, side_by_side=False):
+        """The columns of the dense window that lattice `rows` of `imgs` read."""
         window = _window(data, imgs, s * rows.start - top, s * (rows.stop - 1) + kh - top,
                          -left, s * (wl - 1) + kw - left, relu, alloc, mask)
-        return _im2col(window, kh, kw, s, (rows.stop - rows.start, wl), alloc)
+        return _im2col(window, kh, kw, s, (rows.stop - rows.start, wl), alloc, side_by_side)
 
     def lattice_rows(data, imgs, rows, relu=None, alloc=None):
         """Lattice `rows` of images `imgs` as [n, C_l, m] (:func:`_window`)."""
@@ -316,26 +321,23 @@ def _conv_plan(shape: tuple, p: Conv2dParams, transposed: bool) -> tuple:
         return part.reshape(len(part), c_lat, -1)
 
     def gather(cols, out3, imgs, rows):
-        """``W2`` times `cols`, written into and returned as lattice `rows`
-        of images `imgs` of `out3` [B, C_l, hl*wl]."""
+        """``W2`` times `cols`, into lattice `rows` of `imgs` of `out3`."""
         part = out3[imgs, :, rows.start * wl:rows.stop * wl]
-        return np.matmul(w2, cols.reshape(k, len(part), -1).transpose(1, 0, 2), out=part)
+        return np.matmul(w2, cols, out=part)
 
     def scatter(lat, target, top_row, out=None):
         """Add the taps ``W2ᵀ`` times `lat`, formed in `out` if given, onto
-        `target`, tap i of lattice row y onto row ``i + s*y - top_row``."""
+        `target`: tap i of lattice row y at row ``i + s*y - top_row``."""
         taps = np.matmul(w2.T, lat, out=out)
         _scatter_taps(taps.reshape(len(lat), c_dense, kh, kw, -1, wl), s, target, top_row, left)
 
     def weight_grad(lat, cols):
-        """Lattice rows `lat` [n, C_l, m] times their columns, summed over
-        the images: as n products when those take no more than the columns
-        (C_l <= m), otherwise in one matmul, which builds no second
-        weight-sized array."""
-        n, _, m = lat.shape
-        if n > 1 and c_lat <= m:
-            return np.matmul(lat, cols.reshape(k, n, m).transpose(1, 2, 0)).sum(axis=0)
-        return np.matmul(lat.transpose(1, 0, 2).reshape(c_lat, -1), cols.T)
+        """Lattice rows `lat` [n, C_l, m] times columns [n, K, m], summed."""
+        if sum_in_matmul:
+            return np.matmul(lat.transpose(1, 0, 2).reshape(c_lat, -1),
+                             cols.transpose(1, 0, 2).reshape(k, -1).T)
+        part = np.matmul(lat, cols.transpose(0, 2, 1))
+        return part.sum(axis=0) if len(part) > 1 else part[0]
 
     def forward(data, relu=None):
         if not transposed:
@@ -374,9 +376,11 @@ def _conv_plan(shape: tuple, p: Conv2dParams, transposed: bool) -> tuple:
         mask = np.zeros(shape, bool) if track_x and relu is not None and not transposed else None
         for imgs, rows in blocks:
             if transposed:
-                cols, lat = columns(og, imgs, rows), lattice_rows(data, imgs, rows, relu)
+                cols = columns(og, imgs, rows, side_by_side=sum_in_matmul)
+                lat = lattice_rows(data, imgs, rows, relu)
             else:
-                cols, lat = columns(data, imgs, rows, relu, mask=mask), lattice_rows(og, imgs, rows)
+                cols = columns(data, imgs, rows, relu, mask=mask, side_by_side=sum_in_matmul)
+                lat = lattice_rows(og, imgs, rows)
             part = weight_grad(lat, cols)
             d_w = part if d_w is None else np.add(d_w, part, out=d_w)
             if track_x and transposed:
@@ -387,7 +391,7 @@ def _conv_plan(shape: tuple, p: Conv2dParams, transposed: bool) -> tuple:
                 # the taps go into the columns' buffer, unless the columns
                 # are a read-only view of the input (1x1 kernels at stride 1)
                 scatter(lat, d_x[imgs], top - s * rows.start,
-                        cols.reshape(len(lat), k, -1) if cols.flags.writeable else None)
+                        cols if cols.flags.writeable else None)
             del cols, lat, part     # before the next block builds its own
         if mask is not None:
             # relu's backward as T.relu computes it, in place
@@ -398,10 +402,10 @@ def _conv_plan(shape: tuple, p: Conv2dParams, transposed: bool) -> tuple:
     return forward, backward
 
 
-def _record_conv(x: Tensor, p: Conv2dParams, plan: tuple) -> Tensor:
-    """Run a conv plan on `x`; the tape keeps the input array by reference."""
-    forward, backward = plan
-    data = x.data
+def _record_conv(x: Tensor, p: Conv2dParams, transposed: bool, what: str) -> Tensor:
+    """Run the conv plan on `x`; the tape keeps the input array by reference."""
+    data = _check_4d(x, what)
+    forward, backward = _conv_plan(data.shape, p, transposed)
     track_x = needs_grad(x)
 
     def bwd(og):
@@ -420,8 +424,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     the op adds no activation of its own; backward rebuilds each block's
     columns. An untracked input gets no gradient.
     """
-    data = _check_4d(x, "conv2d")
-    return _record_conv(x, p, _conv_plan(data.shape, p, False))
+    return _record_conv(x, p, False, "conv2d")
 
 
 def unpool(x: Tensor, k: int) -> Tensor:
@@ -451,8 +454,7 @@ def unpool_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     is added into the output. Backward gathers the output gradient's
     windows at stride `p.stride` for the input and the weight gradient.
     """
-    data = _check_4d(x, "unpool_conv2d")
-    return _record_conv(x, p, _conv_plan(data.shape, p, True))
+    return _record_conv(x, p, True, "unpool_conv2d")
 
 
 def _bn_train_grads(og, xhat, gamma, istd):
@@ -540,9 +542,10 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: str = "train") -> Tensor:
 
 
 def _record_bn_relu_conv(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dParams,
-                         plan: tuple) -> Tensor:
-    """Run a conv plan on ``relu(batchnorm(x, norm, mode))`` as one op."""
-    forward, backward = plan
+                         transposed: bool, what: str) -> Tensor:
+    """Run the conv plan on ``relu(batchnorm(x, norm, mode))`` as one op;
+    the conv's arguments are checked before batchnorm takes its statistics."""
+    forward, backward = _conv_plan(_check_4d(x, what).shape, p, transposed)
     s, scale, shift, bn_grads = _batchnorm_forward(x, norm, mode)
     track_z = needs_grad(x) or needs_grad(norm.gamma) or needs_grad(norm.beta)
 
@@ -570,8 +573,7 @@ def bn_relu_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dParams)
     backward over that gradient in place. Train mode updates the running
     statistics once, in forward.
     """
-    data = _check_4d(x, "bn_relu_conv2d")
-    return _record_bn_relu_conv(x, norm, mode, p, _conv_plan(data.shape, p, False))
+    return _record_bn_relu_conv(x, norm, mode, p, False, "bn_relu_conv2d")
 
 
 def bn_relu_unpool_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dParams) -> Tensor:
@@ -581,8 +583,7 @@ def bn_relu_unpool_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2d
     and the ReLU to each block of input rows before its matmul, and
     backward rebuilds them per block for the weight gradient and the
     ReLU's mask."""
-    data = _check_4d(x, "bn_relu_unpool_conv2d")
-    return _record_bn_relu_conv(x, norm, mode, p, _conv_plan(data.shape, p, True))
+    return _record_bn_relu_conv(x, norm, mode, p, True, "bn_relu_unpool_conv2d")
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:

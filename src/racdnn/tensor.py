@@ -392,8 +392,8 @@ def he_normal(shape, rng: np.random.Generator, requires_grad: bool = False) -> T
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_tensor(a, "add operand")
-    _check_tensor(b, "add operand")
+    for t in (a, b):
+        _check_tensor(t, "add operand")
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
 

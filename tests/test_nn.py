@@ -317,8 +317,7 @@ class TestOriginRule:
             def gather(a):
                 window = nn._window(a, slice(None), -top, s * (h - 1) + kh - top,
                                     -left, s * (w - 1) + kw - left)
-                cols = nn._im2col(window, kh, kw, s, (h, w))
-                return cols.reshape(3, kh, kw, 2, h, w).transpose(3, 0, 1, 2, 4, 5)
+                return nn._im2col(window, kh, kw, s, (h, w)).reshape(taps.shape)
 
             lhs, rhs = (out * y).sum(), (taps * gather(y)).sum()
             scale = (np.abs(taps) * gather(np.abs(y))).sum()
