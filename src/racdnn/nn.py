@@ -316,13 +316,14 @@ def _conv_plan(shape: tuple, p: Conv2dParams, transposed: bool) -> tuple:
         return _im2col(window, kh, kw, s, (rows.stop - rows.start, wl), alloc, side_by_side)
 
     def lattice_rows(data, imgs, rows, relu=None, alloc=None):
-        """Lattice `rows` of images `imgs` as [n, C_l, m] (:func:`_window`)."""
+        """Lattice `rows` of `imgs` as [n, C_l, m], contiguous as an input, so
+        that a matmul reads one layout, through BN-ReLU or not, and rounds alike."""
         part = _window(data, imgs, rows.start, rows.stop, 0, wl, relu, alloc)
-        return part.reshape(len(part), c_lat, -1)
+        return (np.ascontiguousarray(part) if transposed else part).reshape(len(part), c_lat, -1)
 
-    def gather(cols, out3, imgs, rows):
-        """``W2`` times `cols`, into lattice `rows` of `imgs` of `out3`."""
-        part = out3[imgs, :, rows.start * wl:rows.stop * wl]
+    def gather(cols, out, imgs, rows):
+        """``W2`` times `cols`, into lattice `rows` of `imgs` of `out`."""
+        part = out.reshape(b, c_lat, -1)[imgs, :, rows.start * wl:rows.stop * wl]
         return np.matmul(w2, cols, out=part)
 
     def scatter(lat, target, top_row, out=None):
@@ -342,9 +343,8 @@ def _conv_plan(shape: tuple, p: Conv2dParams, transposed: bool) -> tuple:
     def forward(data, relu=None):
         if not transposed:
             out = np.empty(lattice)
-            out3 = out.reshape(b, c_lat, -1)
             for imgs, rows in blocks:
-                gather(columns(data, imgs, rows, relu, _scratch), out3, imgs, rows)
+                gather(columns(data, imgs, rows, relu, _scratch), out, imgs, rows)
         else:
             out = None
             for imgs, rows in blocks:
@@ -384,7 +384,7 @@ def _conv_plan(shape: tuple, p: Conv2dParams, transposed: bool) -> tuple:
             part = weight_grad(lat, cols)
             d_w = part if d_w is None else np.add(d_w, part, out=d_w)
             if track_x and transposed:
-                d_lat = gather(cols, d_x.reshape(b, c_lat, -1), imgs, rows)
+                d_lat = gather(cols, d_x, imgs, rows)
                 if relu is not None:
                     d_lat *= lat > 0.0      # relu's backward as T.relu computes it
             elif track_x:

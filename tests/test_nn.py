@@ -819,6 +819,23 @@ class TestBnReluConv:
         for name, got, want in zip(names, fused, composed):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_unpool_rows_of_a_one_column_input_match_the_composition_byte_for_byte(
+            self, mode, monkeypatch):
+        # one input row per block: the composition's rows are a strided view
+        # of its ReLU output, the fused op's are fresh BN-ReLU rows, and a
+        # matmul over this narrow a block rounds the two layouts apart
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
+        rng = np.random.default_rng(61)
+        x = rng.normal(1.0, 2.0, size=(3, 4, 6, 1))
+        stats = dict(gamma=rng.uniform(0.5, 1.5, 4), beta=rng.normal(size=4),
+                     rmean=rng.normal(size=4), rvar=rng.uniform(0.3, 3.0, 4))
+        w, b = unpool_layout(rng.normal(size=(3, 4, 1, 1)) * 0.5), rng.normal(size=3)
+        fused = self.run(self.FUSED["unpool_conv2d"], x, stats, w, b, 1, 0, mode)
+        composed = self.run(self.COMPOSED["unpool_conv2d"], x, stats, w, b, 1, 0, mode)
+        for got, want in zip(fused, composed):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("op", ["conv2d", "unpool_conv2d"])
     def test_gradients_match_finite_differences(self, op):
         x_data, stats, w_data, b_data = self.case(3, seed=62, op=op)
