@@ -479,9 +479,9 @@ def _conv_call(stride=1, padding=0):
                                                                   stride, padding))
 
 
-def _unpool_conv_call(stride=2, padding=0):
+def _unpool_conv_call(stride=2, padding=0, k=3):
     return lambda: nn.unpool_conv2d(T.zeros([1, 1, 4, 4]),
-                                    conv_params(np.zeros((1, 1, 3, 3)), None, stride, padding))
+                                    conv_params(np.zeros((1, 1, k, k)), None, stride, padding))
 
 
 def _bn_call(**lengths):
@@ -518,8 +518,11 @@ BAD_ARGUMENTS = {
     "unpool.factor1.5": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), 1.5), ArgumentError),
     "unpool.factor-1": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), -1), ArgumentError),
     "unpool.factorTrue": (lambda: nn.unpool(T.zeros([1, 1, 2, 2]), True), ArgumentError),
-    # unpool_conv2d's stride is its unpool factor
+    # unpool_conv2d's stride is its unpool factor; the stride rows check it
+    # under the decoder's 5x5 kernel and padding 2
+    "unpool_conv2d.stride0": (_unpool_conv_call(stride=0, k=5, padding=2), ArgumentError),
     "unpool_conv2d.stride-1": (_unpool_conv_call(stride=-1), ArgumentError),
+    "unpool_conv2d.strideTrue": (_unpool_conv_call(stride=True, k=5, padding=2), ArgumentError),
     "unpool_conv2d.padding-1": (_unpool_conv_call(padding=-1), ArgumentError),
     "unpool_conv2d.factor0": (_unpool_conv_call(stride=0), ArgumentError),
     "unpool_conv2d.factor1.5": (_unpool_conv_call(stride=1.5), ArgumentError),
