@@ -354,13 +354,12 @@ class RefineNet:
 
     def refine_step(self, r_prev: Tensor, h1: Tensor, tau: Tensor, mode: str = "infer"):
         """Decode the current state into a patch, write it back through the
-        inverse transformer, and add it inside the window only. Returns the
-        new raw map."""
-        patch = self.decoder(h1, mode)
+        inverse transformer and add it to the map. Returns the new raw map.
+        The write stays local with no mask: the sampler reads an exact +0.0
+        outside the window, so the map keeps its bytes there, but for a
+        -0.0, which becomes +0.0."""
         m = self.preset.map_size
-        delta = at.st_inverse(patch, tau, m, m)
-        support = at.inverse_support(tau, m, m, m, m)[:, None, :, :]
-        return T.masked_add(r_prev, delta, support)
+        return T.add(r_prev, at.st_inverse(self.decoder(h1, mode), tau, m, m))
 
     def run_refinement(self, images: Tensor, r0: Tensor, n: int = DEFAULT_ITERATIONS,
                        mode: str = "infer"):
