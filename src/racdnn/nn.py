@@ -402,16 +402,31 @@ def _conv_plan(shape: tuple, p: Conv2dParams, transposed: bool) -> tuple:
     return forward, backward
 
 
-def _record_conv(x: Tensor, p: Conv2dParams, transposed: bool, what: str) -> Tensor:
-    """Run the conv plan on `x`; the tape keeps the input array by reference."""
-    data = _check_4d(x, what)
-    forward, backward = _conv_plan(data.shape, p, transposed)
-    track_x = needs_grad(x)
+def _record_conv(x: Tensor, p: Conv2dParams, transposed: bool, what: str,
+                 norm: Optional[BatchNormParams], mode: Optional[str]) -> Tensor:
+    """Run the conv plan on `x`, or with `norm` on ``relu(batchnorm(x,
+    norm, mode))``, as one op that records its output as a function. The
+    conv's arguments are checked before batchnorm takes its statistics.
+    The tape keeps the input array by reference, or with `norm` what
+    batchnorm's backward reads."""
+    forward, backward = _conv_plan(_check_4d(x, what).shape, p, transposed)
+    if norm is None:
+        s, relu, bn_grads, ins = x.data, None, None, [x]
+    else:
+        s, scale, shift, bn_grads = _batchnorm_forward(x, norm, mode)
+        relu, ins = (scale, shift), [x, norm.gamma, norm.beta]
+    track_z = any(needs_grad(t) for t in ins)
+    n_in = len(ins)     # bwd keeps no input Tensor, so batchnorm's input can die
 
     def bwd(og):
-        return backward(og, data, track_x)
+        d_z, d_w, d_b = backward(og, s, track_z, relu)
+        if d_z is None:
+            d_in = (None,) * n_in
+        else:
+            d_in = (d_z,) if bn_grads is None else bn_grads(d_z, s)
+        return (*d_in, d_w, d_b)
 
-    return record(forward(data), [x, p.weights, p.bias], bwd)
+    return record(partial(forward, s, relu), [*ins, p.weights, p.bias], bwd)
 
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
@@ -424,7 +439,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     the op adds no activation of its own; backward rebuilds each block's
     columns. An untracked input gets no gradient.
     """
-    return _record_conv(x, p, False, "conv2d")
+    return _record_conv(x, p, False, "conv2d", None, None)
 
 
 def unpool(x: Tensor, k: int) -> Tensor:
@@ -454,7 +469,7 @@ def unpool_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     is added into the output. Backward gathers the output gradient's
     windows at stride `p.stride` for the input and the weight gradient.
     """
-    return _record_conv(x, p, True, "unpool_conv2d")
+    return _record_conv(x, p, True, "unpool_conv2d", None, None)
 
 
 def _bn_train_grads(og, xhat, gamma, istd):
@@ -541,24 +556,6 @@ def batchnorm(x: Tensor, p: BatchNormParams, mode: str = "train") -> Tensor:
     return record(out, [x, p.gamma, p.beta], bwd)
 
 
-def _record_bn_relu_conv(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dParams,
-                         transposed: bool, what: str) -> Tensor:
-    """Run the conv plan on ``relu(batchnorm(x, norm, mode))`` as one op;
-    the conv's arguments are checked before batchnorm takes its statistics."""
-    forward, backward = _conv_plan(_check_4d(x, what).shape, p, transposed)
-    s, scale, shift, bn_grads = _batchnorm_forward(x, norm, mode)
-    track_z = needs_grad(x) or needs_grad(norm.gamma) or needs_grad(norm.beta)
-
-    def bwd(og):
-        d_y, d_w, d_b = backward(og, s, track_z, (scale, shift))
-        if d_y is None:
-            return None, None, None, d_w, d_b
-        return (*bn_grads(d_y, s), d_w, d_b)
-
-    return record(partial(forward, s, (scale, shift)),
-                  [x, norm.gamma, norm.beta, p.weights, p.bias], bwd)
-
-
 def bn_relu_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dParams) -> Tensor:
     """``conv2d(relu(batchnorm(x, norm, mode)), p)`` as one op, byte for
     byte: the pre-activation unit of a conv stack.
@@ -573,7 +570,7 @@ def bn_relu_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dParams)
     backward over that gradient in place. Train mode updates the running
     statistics once, in forward.
     """
-    return _record_bn_relu_conv(x, norm, mode, p, False, "bn_relu_conv2d")
+    return _record_conv(x, p, False, "bn_relu_conv2d", norm, mode)
 
 
 def bn_relu_unpool_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2dParams) -> Tensor:
@@ -583,7 +580,7 @@ def bn_relu_unpool_conv2d(x: Tensor, norm: BatchNormParams, mode: str, p: Conv2d
     and the ReLU to each block of input rows before its matmul, and
     backward rebuilds them per block for the weight gradient and the
     ReLU's mask."""
-    return _record_bn_relu_conv(x, norm, mode, p, True, "bn_relu_unpool_conv2d")
+    return _record_conv(x, p, True, "bn_relu_unpool_conv2d", norm, mode)
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
