@@ -107,7 +107,7 @@ _PRESETS = {
 def preset(name: str) -> Preset:
     try:
         return _PRESETS[name]
-    except KeyError:
+    except (KeyError, TypeError):     # TypeError: an unhashable name
         raise ArgumentError(f"unknown preset {name!r}; have {sorted(_PRESETS)}") from None
 
 

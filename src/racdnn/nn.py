@@ -15,13 +15,18 @@ The temporaries of a convolution's forward come from :func:`_scratch`.
 
 A conv stack runs as pre-activation units, :func:`bn_relu_conv2d` and
 :func:`bn_relu_unpool_conv2d`. Batchnorm's statistics and gradients live
-in :func:`_batchnorm_forward`, which :func:`batchnorm` shares.
+in :func:`_batchnorm_forward`, which :func:`batchnorm` shares. All four
+conv ops record through :func:`_record_conv`, which records the output
+as a function (``tensor.record``), so a checkpoint's rerun computes no
+conv output that nothing reads.
 
-A spatial layer's input that is not a Tensor, and a stride, padding or
-unpool factor that is not an integer in range (a bool is not one), raise
-:class:`~racdnn.errors.ArgumentError`; weights of the wrong rank, and a
-bias or batchnorm vector of the wrong length, raise
-:class:`~racdnn.errors.ShapeError`. The loss is one binary cross-entropy,
+A spatial layer's input or parameter that is not a Tensor, and a
+stride, padding or unpool factor that is not an integer in range (a bool
+is not one), raise :class:`~racdnn.errors.ArgumentError`; weights of the
+wrong rank or with a zero-size axis, and a bias or batchnorm vector of
+the wrong length, raise :class:`~racdnn.errors.ShapeError`, and an
+infer-mode running variance that is not >= 0 raises
+:class:`~racdnn.errors.NumericError`. The loss is one binary cross-entropy,
 :func:`bce_with_logits`, computed from raw logits, so it stays finite for
 logits far outside the sigmoid's useful range.
 """
@@ -36,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError, BatchError, ShapeError
+from .errors import ArgumentError, BatchError, NumericError, ShapeError
 from .tensor import Tensor, needs_grad, record, _active_graph, _check_tensor, _recomputing, _sigmoid
 
 # batchnorm: weight of the old running statistic, and the variance floor
@@ -87,8 +92,11 @@ def _require_int(value, lowest: int, what: str) -> None:
 
 
 def _check_vector(t: Optional[Tensor], n: int, what: str) -> None:
-    """Reject a parameter vector that is not [n]; None passes."""
-    if t is not None and t.shape != (n,):
+    """Reject a parameter vector that is not a Tensor of shape [n]; None passes."""
+    if t is None:
+        return
+    _check_tensor(t, what)
+    if t.shape != (n,):
         raise ShapeError(f"{what} has shape {t.shape}, expected ({n},)")
 
 
@@ -279,8 +287,9 @@ def _conv_plan(shape: tuple, p: Conv2dParams, transposed: bool) -> tuple:
     _require_int(p.padding, 0, f"{what} padding")
     b, c_in, h, w = shape
     layout = "[C_in,C_out,kh,kw]" if transposed else "[C_out,C_in,kh,kw]"
-    if p.weights.ndim != 4:
-        raise ShapeError(f"{what} weights must be {layout}, got {p.weights.shape}")
+    _check_tensor(p.weights, f"{what} weights")
+    if p.weights.ndim != 4 or 0 in p.weights.shape:
+        raise ShapeError(f"{what} weights must be a non-empty {layout}, got {p.weights.shape}")
     c_lat, c_dense, kh, kw = p.weights.shape
     c_w_in, c_out = (c_lat, c_dense) if transposed else (c_dense, c_lat)
     if c_w_in != c_in:
@@ -534,6 +543,8 @@ def _batchnorm_forward(x: Tensor, p: BatchNormParams, mode: str) -> tuple:
             p.running_var.data = BN_MOMENTUM * p.running_var.data + (1 - BN_MOMENTUM) * var
         return xhat, gamma, beta, partial(_bn_train_grads, gamma=gamma, istd=istd)
 
+    if not np.all(p.running_var.data >= 0.0):
+        raise NumericError("infer-mode batchnorm needs running variances >= 0")
     rmean = p.running_mean.data[:, None, None]
     istd = 1.0 / np.sqrt(p.running_var.data[:, None, None] + BN_EPSILON)
     scale = gamma * istd
@@ -588,6 +599,7 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     _check_tensor(x, "linear input")
     if x.ndim != 2:
         raise ShapeError(f"linear expects a batch of vectors [B,n], got {x.shape}")
+    _check_tensor(p.weights, "linear weights")
     if p.weights.ndim != 2:
         raise ShapeError(f"linear weights must be [out,in], got {p.weights.shape}")
     in_dim = p.weights.shape[1]

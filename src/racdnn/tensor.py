@@ -238,13 +238,13 @@ def checkpoint(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     :class:`~racdnn.errors.GraphError`, as through any consumed node.
 
     The rerun computes no output that nothing reads. An op that records
-    its output as a function (:func:`record`), as the fused batchnorm-ReLU
-    convolutions do, records its node there at once but computes its
-    output only when the next op reads it. The walk reads only the nodes,
-    so when such an op returns `fn`'s output, it records its node, the
-    batchnorm statistics and x-hat included, without running its
-    convolution: the rerun costs what the first run did, less that
-    forward.
+    its output as a function (:func:`record`), as every convolution in
+    ``nn`` does, records its node there at once but computes its output
+    only when the next op reads it. The walk reads only the nodes, so when
+    such an op returns `fn`'s output, it records its node (for a fused
+    batchnorm-ReLU convolution the batchnorm statistics and x-hat
+    included) without running its convolution: the rerun costs what the
+    first run did, less that forward.
     """
     g = _active_graph()
     if g is None:
@@ -359,7 +359,10 @@ def zero_grads(params: dict) -> None:
 
 
 def _validate_shape(shape) -> tuple[int, ...]:
-    shape = tuple(shape)
+    try:
+        shape = tuple(shape)
+    except TypeError:
+        raise ShapeError(f"shape must be a sequence of integers, got {shape!r}") from None
     if len(shape) == 0:
         raise ShapeError("shape must be non-empty")
     if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in shape):
@@ -453,7 +456,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 def masked_add(base: Tensor, delta: Tensor, mask: np.ndarray) -> Tensor:
     """base + delta where `mask` holds; elsewhere the result carries the
     base's bit pattern verbatim. Equivalent to a plain add when delta is
-    zero off-mask, but immune to floating-point signed-zero artifacts."""
+    zero off-mask, but immune to floating-point signed-zero artifacts.
+    The library no longer calls it; the traced benchmark
+    (``perfbench/tracing.py``) wraps it by name."""
     _check_tensor(base, "masked_add base")
     _check_tensor(delta, "masked_add delta")
     if base.shape != delta.shape:

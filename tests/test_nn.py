@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from racdnn import networks as N
 from racdnn import nn
 from racdnn import tensor as T
-from racdnn.errors import ArgumentError, BatchError, ShapeError
+from racdnn.errors import ArgumentError, BatchError, NumericError, ShapeError
 
 from gradcheck import check_grad
 from memory import SLACK, drop_workspace, traced_bytes, workspace
@@ -474,6 +475,42 @@ class TestUnpoolConv2d:
         assert peak <= bound < 2 * d_w.nbytes + cols
 
 
+@pytest.mark.parametrize("op", ["conv2d", "unpool_conv2d"])
+def test_checkpoint_rerun_runs_no_forward_of_a_last_plain_conv(op, monkeypatch):
+    # a plain conv records its output as a function, as the fused ones do,
+    # so a checkpoint's rerun records its node without computing it
+    forwards = []
+    plan = nn._conv_plan
+
+    def counting(*args):
+        forward, backward = plan(*args)
+
+        def counted(*a):
+            forwards.append("rerun" if T._recomputing() else "run")
+            return forward(*a)
+        return counted, backward
+
+    rng = np.random.default_rng(25)
+    conv = getattr(nn, op)
+    p = conv_params(rng.normal(size=(3, 3, 3, 3)), rng.normal(size=(3,)), 1 + (op != "conv2d"), 1)
+    x_data = rng.normal(size=(2, 3, 5, 5))
+
+    def run(checkpointed):
+        x = T.Tensor(x_data, requires_grad=True)
+        p.weights.grad = p.bias.grad = None
+        with T.Graph():
+            def segment(t):
+                return conv(T.relu(t), p)
+            out = T.checkpoint(segment, [x], [p.weights, p.bias]) if checkpointed else segment(x)
+            T.backward(sum_all(mul(out, out)))
+        return [a.tobytes() for a in (out.data, x.grad, p.weights.grad, p.bias.grad)]
+
+    plain = run(False)
+    monkeypatch.setattr(nn, "_conv_plan", counting)
+    assert run(True) == plain
+    assert forwards == ["run"]
+
+
 def _conv_call(stride=1, padding=0):
     return lambda: nn.conv2d(T.zeros([1, 1, 4, 4]), conv_params(np.zeros((1, 1, 3, 3)), None,
                                                                   stride, padding))
@@ -491,6 +528,18 @@ def _bn_call(**lengths):
     p = nn.BatchNormParams(T.full([n["gamma"]], 1.0), T.zeros([n["beta"]]),
                            T.zeros([n["running_mean"]]), T.full([n["running_var"]], 1.0))
     return nn.batchnorm(T.zeros([2, 3, 2, 2]), p, "infer")
+
+
+def _bn_vectors_call(op="batchnorm", **vectors):
+    """Infer-mode `op` ("batchnorm" or "bn_relu_conv2d") of 3 channels,
+    with the named parameter vectors replaced by the given values."""
+    v = {"gamma": T.full([3], 1.0), "beta": T.zeros([3]), "running_mean": T.zeros([3]),
+         "running_var": T.full([3], 1.0), **vectors}
+    p = nn.BatchNormParams(v["gamma"], v["beta"], v["running_mean"], v["running_var"])
+    if op == "batchnorm":
+        return lambda: nn.batchnorm(T.zeros([2, 3, 2, 2]), p, "infer")
+    return lambda: nn.bn_relu_conv2d(T.zeros([2, 3, 4, 4]), p, "infer",
+                                     conv_params(np.zeros((2, 3, 3, 3)), None, 1, 1))
 
 
 def _bn_relu_conv_call(op, mode="infer", b=2, gamma=3, stride=1, tensor=True):
@@ -570,6 +619,38 @@ BAD_ARGUMENTS = {
                        ArgumentError),
     "bce_with_logits.ndarray": (lambda: nn.bce_with_logits(np.zeros((1, 2)), np.zeros((1, 2))),
                                 ArgumentError),
+    # a parameter field that is an ndarray, not a Tensor
+    "conv2d.weights_ndarray": (lambda: nn.conv2d(T.zeros([1, 1, 4, 4]),
+                                                 nn.Conv2dParams(np.zeros((1, 1, 3, 3)), None)),
+                               ArgumentError),
+    "conv2d.bias_ndarray": (lambda: nn.conv2d(T.zeros([1, 1, 4, 4]),
+                                              nn.Conv2dParams(T.zeros([2, 1, 3, 3]), np.zeros(2))),
+                            ArgumentError),
+    "linear.weights_ndarray": (lambda: nn.linear(T.zeros([1, 2]),
+                                                 nn.LinearParams(np.zeros((4, 2)), None)),
+                               ArgumentError),
+    "batchnorm.gamma_ndarray": (_bn_vectors_call(gamma=np.ones(3)), ArgumentError),
+    # a running variance that infer mode cannot take the root of
+    "batchnorm.running_var-1": (_bn_vectors_call(running_var=T.Tensor([1.0, -1.0, 1.0])),
+                                NumericError),
+    "batchnorm.running_varNaN": (_bn_vectors_call(running_var=T.Tensor([1.0, np.nan, 1.0])),
+                                 NumericError),
+    "bn_relu_conv2d.running_var-1": (
+        _bn_vectors_call("bn_relu_conv2d", running_var=T.Tensor([1.0, -1.0, 1.0])), NumericError),
+    # weights with a zero-size axis
+    "conv2d.weights_kh0": (lambda: nn.conv2d(T.zeros([1, 1, 4, 4]),
+                                             conv_params(np.zeros((1, 1, 0, 3)))), ShapeError),
+    "conv2d.weights_cout0": (lambda: nn.conv2d(T.zeros([1, 1, 4, 4]),
+                                               conv_params(np.zeros((0, 1, 3, 3)))), ShapeError),
+    "unpool_conv2d.weights_kh0": (lambda: nn.unpool_conv2d(
+        T.zeros([1, 1, 4, 4]), conv_params(np.zeros((1, 1, 0, 3)), None, 2)), ShapeError),
+    "unpool_conv2d.weights_cout0": (lambda: nn.unpool_conv2d(
+        T.zeros([1, 1, 4, 4]), conv_params(np.zeros((1, 0, 3, 3)), None, 2)), ShapeError),
+    # a shape that is a bare int, not a sequence
+    "tensor.zeros_int": (lambda: T.zeros(3), ShapeError),
+    "tensor.full_int": (lambda: T.full(3, 1.0), ShapeError),
+    "tensor.reshape_int": (lambda: T.reshape(T.zeros([2, 3]), 6), ShapeError),
+    "networks.preset_list": (lambda: N.preset(["toy"]), ArgumentError),
 }
 
 

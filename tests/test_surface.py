@@ -100,4 +100,6 @@ def test_aliases_resolve_to_their_modules():
     surface, used = surface_and_uses()
     assert "numpy.matmul" in used                  # nn.conv2d's np.matmul
     assert "racdnn.nn.unpool" in used              # only through tracing.OPS
+    assert "racdnn.tensor.masked_add" in used      # only through tracing.OPS
+    assert "racdnn.attention.inverse_support" in used  # only through tracing.OPS
     assert "racdnn.tensor.backward" in used        # through workloads' re-exported T
