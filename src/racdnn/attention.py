@@ -10,10 +10,9 @@ through the inverse map ``x -> (x - a_t) / a_s`` to write a patch back,
 one axis at a time. A grid is ``[B, out_h + out_w]``: each row holds the
 out_h y coordinates of the output rows, then the out_w x coordinates of
 the output columns, and :func:`bilinear_sample` takes out_h beside it.
-:func:`inverse_support` builds the mask of the pixels a write can touch
-from the same per-axis coordinates; the library no longer reads it. It
-is the tests' oracle for the inverse transformer's locality, and a name
-that the traced benchmark (``perfbench/tracing.py``) wraps.
+:func:`inverse_support`, the mask of the pixels a write can touch, uses
+the same per-axis coordinates; it is the tests' locality oracle and a
+name that the traced benchmark (``perfbench/tracing.py``) wraps.
 
 Coordinate convention: normalized coordinates span [-1, 1] with -1 at the
 *center* of the first source pixel of an axis and +1 at the center of the

@@ -456,9 +456,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 def masked_add(base: Tensor, delta: Tensor, mask: np.ndarray) -> Tensor:
     """base + delta where `mask` holds; elsewhere the result carries the
     base's bit pattern verbatim. Equivalent to a plain add when delta is
-    zero off-mask, but immune to floating-point signed-zero artifacts.
-    The library no longer calls it; the traced benchmark
-    (``perfbench/tracing.py``) wraps it by name."""
+    zero off-mask, but keeps a -0.0 of the base. No code in the library
+    calls it; the traced benchmark (``perfbench/tracing.py``) wraps it by
+    name."""
     _check_tensor(base, "masked_add base")
     _check_tensor(delta, "masked_add delta")
     if base.shape != delta.shape:

@@ -492,7 +492,8 @@ def test_checkpoint_rerun_runs_no_forward_of_a_last_plain_conv(op, monkeypatch):
 
     rng = np.random.default_rng(25)
     conv = getattr(nn, op)
-    p = conv_params(rng.normal(size=(3, 3, 3, 3)), rng.normal(size=(3,)), 1 + (op != "conv2d"), 1)
+    stride = 1 if op == "conv2d" else 2     # an unpool conv's stride is its factor
+    p = conv_params(rng.normal(size=(3, 3, 3, 3)), rng.normal(size=(3,)), stride, 1)
     x_data = rng.normal(size=(2, 3, 5, 5))
 
     def run(checkpointed):
